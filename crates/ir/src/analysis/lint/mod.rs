@@ -132,13 +132,7 @@ pub fn lint_kernel(kernel: &Kernel, cfg: &LintConfig) -> Vec<Diagnostic> {
         diags.extend(out.bounds.iter().cloned());
     }
     if cfg.races {
-        for interval in &out.intervals {
-            diags.extend(races::check_interval(
-                interval,
-                &out.atoms,
-                &cfg.assumptions,
-            ));
-        }
+        diags.extend(races::check_intervals(&out, &cfg.assumptions));
     }
     // Alternatives and loop phases can rediscover the same finding.
     let mut seen = std::collections::HashSet::new();

@@ -153,6 +153,27 @@ fn lds_access_under_unsatisfiable_guard_is_dead_code_not_a_bug() {
 }
 
 #[test]
+fn and_with_a_mask_wider_than_32_bits_does_not_overflow() {
+    // Found by the benchmark's kernel pool: the lint evaluates address
+    // arithmetic on ideal integers, so `0xffff_ffff * 0xffff_ffff`
+    // saturates to the constant `0x7fff_ffff_ffff_ffff`. The `And` rule
+    // took `mask + 1` to test for a low-bit mask, which overflowed (a
+    // panic with overflow checks, a 63-bit remainder without). A mask
+    // wider than 32 bits is no low-bit mask: `x & mask` is only bounded
+    // by `x`, and the access below stays provably inside the allocation.
+    let mut b = KernelBuilder::new("wide_mask");
+    b.set_lds_bytes(4 * 64);
+    let lid = b.local_id(0);
+    let all_ones = b.const_u32(0xffff_ffff);
+    let mask = b.mul_u32(all_ones, all_ones);
+    let x = b.binary(rmt_ir::BinOp::And, rmt_ir::Ty::U32, lid, mask);
+    let four = b.const_u32(4);
+    let slot = b.mul_u32(x, four);
+    b.store_local(slot, lid);
+    assert!(!kinds(&b.finish()).contains(&LintKind::LdsOutOfBounds));
+}
+
+#[test]
 fn clean_kernel_stays_clean() {
     // Sanity: the standard tiled pattern (write own slot, barrier, read
     // neighbour) produces no findings.
