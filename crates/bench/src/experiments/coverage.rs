@@ -11,6 +11,7 @@
 use crate::table::Table;
 use crate::ExpConfig;
 use gcn_sim::{Arg, Device, FaultPlan, FaultTarget, LaunchConfig};
+use rmt_core::campaign::{self, Observed, Outcome};
 use rmt_core::{launch_rmt, transform, TransformOptions};
 use rmt_ir::{Kernel, KernelBuilder, Reg};
 use rmt_kernels::util::Xorshift;
@@ -84,22 +85,17 @@ fn l1_probe_kernel() -> Kernel {
     b.finish()
 }
 
-#[derive(Default, Clone, Copy)]
-struct Tally {
-    detected: usize,
-    sdc: usize,
-    masked: usize,
-    applied: usize,
-}
-
+/// Injects every target into `structure` at each trigger and returns the
+/// outcomes in order. A hang is an error here: the probe never spins.
 fn run_campaign(
     dev_cfg: &gcn_sim::DeviceConfig,
     opts: &TransformOptions,
+    structure: &'static str,
     targets: &[FaultTarget],
     kernel: &Kernel,
-) -> Result<Tally, String> {
+) -> Result<Vec<Outcome>, String> {
     let rk = transform(kernel, opts).map_err(|e| e.to_string())?;
-    let run_once = |plan: FaultPlan| -> Result<(Vec<u32>, u32, usize), String> {
+    let run_once = |plan: FaultPlan| -> Result<Observed, String> {
         let mut dev = Device::new(dev_cfg.clone());
         let ib = dev.create_buffer((N * 4) as u32);
         let ob = dev.create_buffer((N * 4) as u32);
@@ -109,31 +105,29 @@ fn run_campaign(
             .arg(Arg::Buffer(ob))
             .faults(plan);
         let r = launch_rmt(&mut dev, &rk, &cfg).map_err(|e| e.to_string())?;
-        Ok((dev.read_u32s(ob), r.detections, r.stats.faults_applied))
+        Ok(Observed {
+            detections: r.detections,
+            faults_applied: r.stats.faults_applied,
+            dyn_insts: r.stats.counters.dyn_insts,
+            bufs: vec![dev.read_buffer(ob)],
+        })
     };
-    let (golden, d0, _) = run_once(FaultPlan::none())?;
-    if d0 != 0 {
+    let golden = run_once(FaultPlan::none())?;
+    if golden.detections != 0 {
         return Err("fault-free run reported detections".into());
     }
-    let mut tally = Tally::default();
-    for &target in targets {
-        // Triggers sample both pad windows (registers live, then LDS live).
-        for trigger in [120u64, 220, 320, 520, 640, 760] {
-            let (got, detections, applied) = run_once(FaultPlan::single(trigger, target))?;
-            if applied == 0 {
-                continue;
-            }
-            tally.applied += 1;
-            if detections > 0 {
-                tally.detected += 1;
-            } else if got != golden {
-                tally.sdc += 1;
-            } else {
-                tally.masked += 1;
-            }
-        }
-    }
-    Ok(tally)
+    // Triggers sample both pad windows (registers live, then LDS live).
+    let attempts = targets.iter().flat_map(|&target| {
+        [120u64, 220, 320, 520, 640, 760].map(|trigger| (structure, target, trigger))
+    });
+    let mut due = None;
+    let outcomes = campaign::run(attempts, &golden.bufs, |plan| {
+        run_once(plan).map_err(|e| due = Some(e))
+    })
+    .map(|entry| entry.outcome)
+    .take_while(|&o| o != Outcome::Due)
+    .collect();
+    due.map_or(Ok(outcomes), Err)
 }
 
 /// The `coverage` experiment: fault-injection validation of Tables 2/3.
@@ -173,11 +167,9 @@ pub fn coverage(cfg: &ExpConfig) -> Result<String, String> {
         });
     }
 
-    let flavors = [
-        ("Intra+LDS", TransformOptions::intra_plus_lds()),
-        ("Intra-LDS", TransformOptions::intra_minus_lds()),
-        ("Inter", TransformOptions::inter()),
-    ];
+    // The three SoR designs of Tables 2/3 (FAST shares Intra+LDS's).
+    let full_stage = TransformOptions::full_stage();
+    let flavors = &full_stage[..3];
     // L1 data-array faults: corrupt the cached copy of an input line in a
     // specific CU's L1 between the first and second read.
     let mut l1_targets = Vec::new();
@@ -220,7 +212,7 @@ pub fn coverage(cfg: &ExpConfig) -> Result<String, String> {
         })
         .collect();
     let cells: Vec<_> = cells.into_iter().enumerate().collect();
-    let tallies = gcn_sim::pool::map(
+    let cells_out = gcn_sim::pool::map(
         cfg.jobs,
         cells,
         |(i, (sname, fname, targets, opts, kernel))| {
@@ -231,21 +223,22 @@ pub fn coverage(cfg: &ExpConfig) -> Result<String, String> {
                 i,
                 |_: &_| (0, 0),
                 || {
-                    run_campaign(&cfg.device, &opts, targets, kernel)
-                        .map(|tally| (sname, fname, tally))
+                    run_campaign(&cfg.device, &opts, sname, targets, kernel)
+                        .map(|outcomes| (sname, fname, outcomes))
                 },
             )
         },
     );
-    for tally in tallies {
-        let (sname, fname, tally) = tally?;
+    for cell in cells_out {
+        let (sname, fname, outcomes) = cell?;
+        let count = |o: Outcome| outcomes.iter().filter(|&&x| x == o).count();
         t.row(vec![
             sname.into(),
             fname.into(),
-            tally.detected.to_string(),
-            tally.sdc.to_string(),
-            tally.masked.to_string(),
-            tally.applied.to_string(),
+            count(Outcome::Detected).to_string(),
+            count(Outcome::Sdc).to_string(),
+            count(Outcome::Masked).to_string(),
+            (outcomes.len() - count(Outcome::Missed)).to_string(),
         ]);
     }
     Ok(format!(

@@ -17,87 +17,25 @@
 
 use crate::table::Matrix;
 use crate::ExpConfig;
-use gcn_sim::{Device, DeviceConfig, FaultPlan, FaultTarget};
+use gcn_sim::{Device, DeviceConfig, FaultPlan};
+use rmt_core::campaign::{self, Observed, Outcome, SiteKind, Violation};
 use rmt_core::{coverage as cov, transform, RmtError, RmtKernel, RmtLauncher, TransformOptions};
-use rmt_ir::analysis::{Protection, Residency};
-use rmt_ir::Reg;
+use rmt_ir::analysis::{CoverageReport, Protection};
 use rmt_kernels::{Benchmark, Scale};
 
-/// The four full-stage flavor columns, in paper order.
-fn variants() -> [(&'static str, TransformOptions); 4] {
-    [
-        ("Intra+LDS", TransformOptions::intra_plus_lds()),
-        ("Intra-LDS", TransformOptions::intra_minus_lds()),
-        ("Inter", TransformOptions::inter()),
-        ("FAST", TransformOptions::intra_plus_lds().with_swizzle()),
-    ]
-}
-
-/// How one injected fault resolved. Shared with the `pareto` experiment,
-/// which runs the same campaign over Selective budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Outcome {
-    /// The redundant comparison bumped the detect counter.
-    Detected,
-    /// Outputs differ from the golden run with no detection: SDC.
-    Sdc,
-    /// Outputs match the golden run with no detection.
-    Masked,
-    /// The launch errored (watchdog or deadlock): detectable-by-timeout.
-    Due,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct InjTally {
-    pub(super) detected: usize,
-    pub(super) sdc: usize,
-    pub(super) masked: usize,
-    pub(super) due: usize,
-}
-
-/// The ledger tag for an injection outcome (matches the oracle
-/// campaign's `fault.outcome` labels).
-pub(super) fn outcome_tag(o: Outcome) -> &'static str {
-    match o {
-        Outcome::Detected => "detected",
-        Outcome::Sdc => "sdc",
-        Outcome::Masked => "masked",
-        Outcome::Due => "due",
-    }
-}
-
-impl InjTally {
-    pub(super) fn note(&mut self, o: Outcome) {
-        match o {
-            Outcome::Detected => self.detected += 1,
-            Outcome::Sdc => self.sdc += 1,
-            Outcome::Masked => self.masked += 1,
-            Outcome::Due => self.due += 1,
-        }
-    }
-
-    pub(super) fn total(self) -> usize {
-        self.detected + self.sdc + self.masked + self.due
-    }
-}
-
 /// One full (multi-pass) run of a transformed benchmark, faults applied on
-/// the first pass only. Returns `(detections, faults_applied, dyn insts of
-/// the first pass, final buffer contents)`, or the simulator error.
-#[allow(clippy::type_complexity)]
-pub(super) fn run_transformed(
+/// the first pass only; `dyn_insts` counts the first pass.
+fn run_transformed(
     bench: &dyn Benchmark,
     scale: Scale,
     dev_cfg: &DeviceConfig,
     rk: &RmtKernel,
     faults: FaultPlan,
-) -> Result<(u32, usize, u64, Vec<Vec<u8>>), RmtError> {
+) -> Result<Observed, RmtError> {
     let mut dev = Device::new(dev_cfg.clone());
     let plan = bench.plan(scale, &mut dev);
     let mut launcher = RmtLauncher::new();
-    let mut detections = 0u32;
-    let mut applied = 0usize;
-    let mut first_pass_insts = 0u64;
+    let mut obs = Observed::default();
     for (i, pass) in plan.passes.iter().enumerate() {
         let cfg = if i == 0 {
             pass.clone().faults(faults.clone())
@@ -105,100 +43,82 @@ pub(super) fn run_transformed(
             pass.clone()
         };
         let run = launcher.launch(&mut dev, rk, &cfg)?;
-        detections += run.detections;
-        applied += run.stats.faults_applied;
+        obs.detections += run.detections;
+        obs.faults_applied += run.stats.faults_applied;
         if i == 0 {
-            first_pass_insts = run.stats.counters.dyn_insts;
+            obs.dyn_insts = run.stats.counters.dyn_insts;
         }
     }
-    let bufs = plan.buffers.iter().map(|b| dev.read_buffer(*b)).collect();
-    Ok((detections, applied, first_pass_insts, bufs))
+    obs.bufs = plan.buffers.iter().map(|b| dev.read_buffer(*b)).collect();
+    Ok(obs)
 }
 
-/// Picks injection sites from the coverage report itself: a Detected-class
-/// and a Vulnerable-class user VGPR, a user SRF broadcast, and an LDS word.
-/// Each site carries the analysis verdict the campaign must uphold.
-pub(super) fn pick_sites(
+/// The injection campaign `coverage-static` and `pareto` share. A golden
+/// run fixes the reference buffers and the dynamic-instruction budget;
+/// then each analysis-chosen site is corrupted at fixed coordinates, each
+/// at two trigger points. Returns every attempt's
+/// outcome in order, and every soundness/recall violation prefixed with
+/// `ctx`.
+pub(super) fn inject(
+    cfg: &ExpConfig,
+    bench: &dyn Benchmark,
     rk: &RmtKernel,
-    report: &rmt_ir::analysis::CoverageReport,
-) -> Vec<SiteTargets> {
-    let mut sites = Vec::new();
-    let mut regs: Vec<Reg> = report
-        .windows
-        .iter()
-        .filter(|w| !w.machinery && w.residency == Residency::VgprLane)
-        .map(|w| w.reg)
-        .collect();
-    regs.sort_unstable();
-    regs.dedup();
-
-    let vgpr_target = |reg: Reg, lane: usize, bit: u8| FaultTarget::Vgpr {
-        group: 0,
-        wave: 0,
-        reg: reg.0,
-        lane,
-        bit,
-    };
-    if let Some(&r) = regs
-        .iter()
-        .find(|&&r| report.vgpr_fault_class(r) == Some(Protection::Detected))
-    {
-        sites.push(SiteTargets {
-            label: "VGPR/detected",
-            class: Protection::Detected,
-            targets: vec![vgpr_target(r, 1, 9), vgpr_target(r, 2, 20)],
-        });
+    report: &CoverageReport,
+    ctx: &str,
+) -> Result<(Vec<Outcome>, Vec<String>), String> {
+    let golden = run_transformed(bench, cfg.scale, &cfg.device, rk, FaultPlan::none())
+        .map_err(|e| format!("{ctx}: fault-free run failed: {e}"))?;
+    if golden.detections != 0 {
+        return Err(format!(
+            "{ctx}: fault-free run reported {} detections",
+            golden.detections
+        ));
     }
-    if let Some(&r) = regs
-        .iter()
-        .find(|&&r| report.vgpr_fault_class(r) == Some(Protection::Vulnerable))
-    {
-        sites.push(SiteTargets {
-            label: "VGPR/vulnerable",
-            class: Protection::Vulnerable,
-            targets: vec![vgpr_target(r, 1, 9)],
-        });
-    }
-    let mut uniform: Vec<Reg> = report
-        .windows
-        .iter()
-        .filter(|w| !w.machinery && w.residency == Residency::SrfBroadcast)
-        .map(|w| w.reg)
-        .collect();
-    uniform.sort_unstable();
-    uniform.dedup();
-    if let Some(&r) = uniform.first() {
-        if let Some(class) = report.sgpr_fault_class(r) {
-            sites.push(SiteTargets {
-                label: "SRF",
-                class,
-                targets: vec![FaultTarget::Sgpr {
-                    group: 0,
-                    wave: 0,
-                    reg: r.0,
-                    bit: 3,
-                }],
-            });
+    let insts = golden.dyn_insts;
+    let sites = campaign::pick_sites(rk, report);
+    let lds_offset = (rk.kernel.lds_bytes / 2) & !3;
+    let attempts = sites.iter().flat_map(|site| {
+        let coords: &[(usize, u8)] = match site.kind {
+            SiteKind::Vgpr(_) if site.class == Protection::Detected => &[(1, 9), (2, 20)],
+            SiteKind::Vgpr(_) => &[(1, 9)],
+            SiteKind::Sgpr(_) => &[(0, 3)],
+            SiteKind::Lds => &[(0, 1)],
+        };
+        coords.iter().flat_map(move |&(lane, bit)| {
+            let target = site.target(lane, lds_offset, bit);
+            [insts / 4 + 1, insts / 2 + 1].map(|trigger| (site, target, trigger))
+        })
+    });
+    let inj_dev = campaign::injected_device(&cfg.device, insts);
+    let mut outcomes = Vec::new();
+    let mut violations = Vec::new();
+    for entry in campaign::run(attempts, &golden.bufs, |plan| {
+        run_transformed(bench, cfg.scale, &inj_dev, rk, plan)
+    }) {
+        outcomes.push(entry.outcome);
+        match campaign::verdict(report, &entry) {
+            Some(Violation::Soundness(m)) => violations.push(format!("SOUNDNESS: {ctx}: {m}")),
+            Some(Violation::Recall(m)) => violations.push(format!("RECALL: {ctx}: {m}")),
+            None => {}
         }
     }
-    if rk.kernel.lds_bytes > 0 {
-        sites.push(SiteTargets {
-            label: "LDS",
-            class: report.lds_fault_class(),
-            targets: vec![FaultTarget::Lds {
-                group: 0,
-                offset: (rk.kernel.lds_bytes / 2) & !3,
-                bit: 1,
-            }],
-        });
-    }
-    sites
+    Ok((outcomes, violations))
 }
 
-pub(super) struct SiteTargets {
-    pub(super) label: &'static str,
-    pub(super) class: Protection,
-    pub(super) targets: Vec<FaultTarget>,
+/// The rendered report; with violations, the report plus every violation
+/// as the error, so `repro` exits nonzero.
+pub(super) fn with_violations(out: String, violations: &[String]) -> Result<String, String> {
+    if violations.is_empty() {
+        Ok(out)
+    } else {
+        Err(format!("{out}\n{}", violations.join("\n")))
+    }
+}
+
+/// Strings as a JSON array.
+pub(super) fn json_strings(items: &[String]) -> String {
+    let items: Vec<String> = items.iter().map(|s| format!("{s:?}")).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Everything one (kernel, flavor) cell contributes to the report.
@@ -231,79 +151,21 @@ fn run_cell(
         t.masked
     );
 
-    // Golden (fault-free) run establishes reference outputs and the
-    // dynamic instruction budget for triggers and the watchdog.
-    let (d0, _, first_insts, golden) =
-        run_transformed(bench, cfg.scale, &cfg.device, &rk, FaultPlan::none())
-            .map_err(|e| format!("{ctx}: fault-free run failed: {e}"))?;
-    if d0 != 0 {
-        return Err(format!("{ctx}: fault-free run reported {d0} detections"));
-    }
-    // Injected runs that corrupt protocol state can spin forever;
-    // bound them by a watchdog a few times the fault-free length.
-    let mut inj_dev = cfg.device.clone();
-    inj_dev.watchdog_insts = first_insts.saturating_mul(8).max(200_000);
-
-    let mut violations = Vec::new();
-    let mut injections = 0usize;
-    let mut tally = InjTally::default();
-    for site in pick_sites(&rk, &report) {
-        for target in &site.targets {
-            for trigger in [first_insts / 4 + 1, first_insts / 2 + 1] {
-                let outcome = match run_transformed(
-                    bench,
-                    cfg.scale,
-                    &inj_dev,
-                    &rk,
-                    FaultPlan::single(trigger, *target),
-                ) {
-                    Err(_) => Outcome::Due,
-                    Ok((det, applied, _, bufs)) => {
-                        if applied == 0 {
-                            continue; // target missed (e.g. group retired)
-                        }
-                        if det > 0 {
-                            Outcome::Detected
-                        } else if bufs != golden {
-                            Outcome::Sdc
-                        } else {
-                            Outcome::Masked
-                        }
-                    }
-                };
-                injections += 1;
-                tally.note(outcome);
-                crate::obs::note_injection(site.label, outcome_tag(outcome), target);
-                if outcome == Outcome::Sdc {
-                    // Re-derive the verdict through the unified lookup: the
-                    // class the report holds for the exact corrupted target.
-                    let class = cov::fault_class(&report, target).unwrap_or(site.class);
-                    if class == Protection::Detected {
-                        violations.push(format!(
-                            "SOUNDNESS: {ctx}: SDC at Detected-class site {} ({target:?}, trigger {trigger})",
-                            site.label
-                        ));
-                    } else if class != Protection::Vulnerable {
-                        violations.push(format!(
-                            "RECALL: {ctx}: SDC at {}-class site {} ({target:?}, trigger {trigger})",
-                            class.label(),
-                            site.label
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    let (outcomes, violations) = inject(cfg, bench, &rk, &report, &ctx)?;
+    let count = |o: Outcome| outcomes.iter().filter(|&&x| x == o).count();
     let inj_cell = format!(
         "{}d/{}s/{}m/{}h",
-        tally.detected, tally.sdc, tally.masked, tally.due
+        count(Outcome::Detected),
+        count(Outcome::Sdc),
+        count(Outcome::Masked),
+        count(Outcome::Due)
     );
-    let _ = tally.total();
     Ok(CellOut {
         static_cell,
         inj_cell,
         violations,
-        injections,
+        // Attempts whose fault applied, hangs included.
+        injections: outcomes.len() - count(Outcome::Missed),
     })
 }
 
@@ -315,7 +177,7 @@ fn run_cell(
 /// violation is found (so `repro coverage-static` exits nonzero), or when
 /// a transform / fault-free launch fails outright.
 pub fn coverage_static(cfg: &ExpConfig) -> Result<String, String> {
-    let vs = variants();
+    let vs = TransformOptions::full_stage();
     let columns: Vec<&str> = vs.iter().map(|(l, _)| *l).collect();
     let mut static_matrix = Matrix::new("kernel", &columns);
     let mut inj_matrix = Matrix::new("kernel", &columns);
@@ -364,17 +226,10 @@ pub fn coverage_static(cfg: &ExpConfig) -> Result<String, String> {
     inj_matrix.sort_rows_by_label_order(&order);
 
     let out = if cfg.json {
-        let mut v = String::from("[");
-        for (i, s) in violations.iter().enumerate() {
-            if i > 0 {
-                v.push(',');
-            }
-            v.push_str(&format!("{:?}", s));
-        }
-        v.push(']');
         format!(
             "{{\"experiment\":\"coverage-static\",\"injections\":{injections},\
-             \"violations\":{v},\"static\":{},\"injection\":{}}}\n",
+             \"violations\":{},\"static\":{},\"injection\":{}}}\n",
+            json_strings(&violations),
             static_matrix.to_json(),
             inj_matrix.to_json()
         )
@@ -390,11 +245,7 @@ pub fn coverage_static(cfg: &ExpConfig) -> Result<String, String> {
             violations.len()
         )
     };
-    if violations.is_empty() {
-        Ok(out)
-    } else {
-        Err(format!("{out}\n{}", violations.join("\n")))
-    }
+    with_violations(out, &violations)
 }
 
 #[cfg(test)]

@@ -16,18 +16,11 @@ use rmt_ir::analysis::lint::{lint_kernel, LintAssumptions, LintConfig};
 use rmt_ir::Kernel;
 use rmt_kernels::{all, Benchmark};
 
-/// The five lint postures, in paper order.
+/// The five lint postures, in paper order: the original kernel and the
+/// four full-stage flavors.
 fn variants() -> Vec<(&'static str, Option<TransformOptions>)> {
-    vec![
-        ("Original", None),
-        ("Intra+LDS", Some(TransformOptions::intra_plus_lds())),
-        ("Intra-LDS", Some(TransformOptions::intra_minus_lds())),
-        ("Inter", Some(TransformOptions::inter())),
-        (
-            "FAST",
-            Some(TransformOptions::intra_plus_lds().with_swizzle()),
-        ),
-    ]
+    let flavors = TransformOptions::full_stage().map(|(label, opts)| (label, Some(opts)));
+    std::iter::once(("Original", None)).chain(flavors).collect()
 }
 
 /// Distinct per-pass work-group shapes of a benchmark's plan.

@@ -23,12 +23,11 @@
 //! and better covered. Cells fan out across `--jobs` workers and merge in
 //! submission order, so the report is byte-identical for any job count.
 
-use super::coverage_static::{pick_sites, run_transformed, InjTally, Outcome};
+use super::coverage_static::{inject, json_strings, with_violations};
 use crate::table::{pct, x, Matrix, Table};
 use crate::ExpConfig;
-use gcn_sim::FaultPlan;
+use rmt_core::campaign::Outcome;
 use rmt_core::{coverage as cov, transform, TransformOptions};
-use rmt_ir::analysis::Protection;
 use rmt_kernels::{run_original, run_rmt, Benchmark};
 
 /// The default budget grid, in percent.
@@ -73,71 +72,8 @@ fn run_cell(cfg: &ExpConfig, bench: &dyn Benchmark, budget: u8) -> Result<Point,
     }
     let overhead = rmt.stats.cycles as f64 / base.stats.cycles as f64;
 
-    // Injection campaign, exactly as `coverage-static` runs it: a golden
-    // run fixes reference buffers and the dynamic-instruction budget, then
-    // each analysis-chosen site is corrupted at two trigger points.
-    let (d0, _, first_insts, golden) =
-        run_transformed(bench, cfg.scale, &cfg.device, &rk, FaultPlan::none())
-            .map_err(|e| format!("{ctx}: golden run: {e}"))?;
-    if d0 != 0 {
-        return Err(format!("{ctx}: golden run reported {d0} detections"));
-    }
-    let mut inj_dev = cfg.device.clone();
-    inj_dev.watchdog_insts = first_insts.saturating_mul(8).max(200_000);
-
-    let mut violations = Vec::new();
-    let mut injections = 0usize;
-    let mut tally = InjTally::default();
-    for site in pick_sites(&rk, &report) {
-        for target in &site.targets {
-            for trigger in [first_insts / 4 + 1, first_insts / 2 + 1] {
-                let outcome = match run_transformed(
-                    bench,
-                    cfg.scale,
-                    &inj_dev,
-                    &rk,
-                    FaultPlan::single(trigger, *target),
-                ) {
-                    Err(_) => Outcome::Due,
-                    Ok((det, applied, _, bufs)) => {
-                        if applied == 0 {
-                            continue;
-                        }
-                        if det > 0 {
-                            Outcome::Detected
-                        } else if bufs != golden {
-                            Outcome::Sdc
-                        } else {
-                            Outcome::Masked
-                        }
-                    }
-                };
-                injections += 1;
-                tally.note(outcome);
-                crate::obs::note_injection(
-                    site.label,
-                    super::coverage_static::outcome_tag(outcome),
-                    target,
-                );
-                if outcome == Outcome::Sdc {
-                    let class = cov::fault_class(&report, target).unwrap_or(site.class);
-                    if class == Protection::Detected {
-                        violations.push(format!(
-                            "SOUNDNESS: {ctx}: SDC at Detected-class site {} ({target:?}, trigger {trigger})",
-                            site.label
-                        ));
-                    } else if class != Protection::Vulnerable {
-                        violations.push(format!(
-                            "RECALL: {ctx}: SDC at {}-class site {} ({target:?}, trigger {trigger})",
-                            class.label(),
-                            site.label
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    let _ = tally.total();
+    // The injection campaign, exactly as `coverage-static` runs it.
+    let (outcomes, violations) = inject(cfg, bench, &rk, &report, &ctx)?;
 
     Ok(Point {
         budget,
@@ -147,7 +83,7 @@ fn run_cell(cfg: &ExpConfig, bench: &dyn Benchmark, budget: u8) -> Result<Point,
         vulnerable: t.vulnerable,
         planned_exits: sel.planned_exits,
         candidate_exits: sel.candidate_exits,
-        injections,
+        injections: outcomes.iter().filter(|&&o| o != Outcome::Missed).count(),
         violations,
     })
 }
@@ -276,14 +212,7 @@ pub fn pareto(cfg: &ExpConfig) -> Result<String, String> {
     }
 
     let out = if cfg.json {
-        let mut viol = String::from("[");
-        for (i, s) in violations.iter().enumerate() {
-            if i > 0 {
-                viol.push(',');
-            }
-            viol.push_str(&format!("{s:?}"));
-        }
-        viol.push(']');
+        let viol = json_strings(&violations);
         let budgets_json = budgets
             .iter()
             .map(|b| b.to_string())
@@ -311,11 +240,7 @@ pub fn pareto(cfg: &ExpConfig) -> Result<String, String> {
             violations.len()
         )
     };
-    if violations.is_empty() {
-        Ok(out)
-    } else {
-        Err(format!("{out}\n{}", violations.join("\n")))
-    }
+    with_violations(out, &violations)
 }
 
 #[cfg(test)]

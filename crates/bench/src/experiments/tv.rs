@@ -17,15 +17,13 @@ use rmt_kernels::{all, Benchmark};
 /// The seven validated postures: the paper's flavors plus the Selective
 /// budget sweep endpoints and midpoint.
 fn variants() -> Vec<(&'static str, TransformOptions)> {
-    vec![
-        ("Intra+LDS", TransformOptions::intra_plus_lds()),
-        ("Intra-LDS", TransformOptions::intra_minus_lds()),
-        ("Inter", TransformOptions::inter()),
-        ("FAST", TransformOptions::intra_plus_lds().with_swizzle()),
+    let mut vs = TransformOptions::full_stage().to_vec();
+    vs.extend([
         ("Sel-0", TransformOptions::selective(0)),
         ("Sel-50", TransformOptions::selective(50)),
         ("Sel-100", TransformOptions::selective(100)),
-    ]
+    ]);
+    vs
 }
 
 /// Renders the suite-wide translation-validation table. Errs (with the

@@ -83,29 +83,6 @@ pub(crate) fn cell_obs<T, E>(
     res
 }
 
-/// Records one bench-side fault injection in the same
-/// `fault.outcome{structure, outcome}` ledger the oracle campaign uses,
-/// plus an instant trace event carrying the exact target for
-/// attribution. No-op when no campaign is being recorded.
-pub(crate) fn note_injection(structure: &str, outcome: &'static str, target: &dyn std::fmt::Debug) {
-    if !rmt_obs::enabled() {
-        return;
-    }
-    rmt_obs::add(
-        "fault.outcome",
-        &[("outcome", outcome), ("structure", structure)],
-        1,
-    );
-    rmt_obs::instant(
-        "fault",
-        outcome,
-        vec![
-            ("structure".to_string(), structure.to_string().into()),
-            ("target".to_string(), format!("{target:?}").into()),
-        ],
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,13 +1,17 @@
 //! Campaign observability end-to-end: deterministic snapshots are
-//! byte-identical for any worker count, metrics JSON round-trips through
-//! the repo's own parser, and a profiled single-kernel run merges the
-//! device timeline into the campaign trace.
+//! byte-identical for any worker count, the fault-injection ledger counts
+//! every attempt, metrics JSON round-trips through the repo's own parser,
+//! and a profiled single-kernel run merges the device timeline into the
+//! campaign trace.
 //!
 //! The observability state is process-global, and integration tests in
 //! one binary run on parallel threads — every test here takes `lock()`
 //! first so campaigns never interleave.
 
 use rmt_bench::{baseline, experiments, ExpConfig};
+use rmt_core::campaign::{pick_sites, SiteKind};
+use rmt_core::{coverage, transform, TransformOptions};
+use rmt_ir::analysis::Protection;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -41,6 +45,54 @@ fn deterministic_metrics_are_byte_identical_across_jobs() {
         serial, parallel,
         "deterministic snapshots must not depend on --jobs"
     );
+}
+
+/// Runs `pareto --protect 50` as a recorded deterministic campaign and
+/// returns the metrics snapshot.
+fn pareto_metrics(jobs: usize) -> rmt_obs::MetricsSnapshot {
+    rmt_obs::enable(rmt_obs::Clock::Logical);
+    let mut cfg = ExpConfig::small().with_jobs(jobs);
+    cfg.protect = Some(50);
+    experiments::run("pareto", &cfg).expect("pareto runs");
+    let m = rmt_obs::metrics_snapshot();
+    rmt_obs::disable();
+    m
+}
+
+#[test]
+fn pareto_ledger_is_jobs_independent_and_counts_every_attempt() {
+    let _g = lock();
+    let serial = pareto_metrics(1);
+    let parallel = pareto_metrics(8);
+    assert_eq!(
+        serial.to_json(),
+        parallel.to_json(),
+        "deterministic snapshots must not depend on --jobs"
+    );
+    let ledger: u64 = serial
+        .counters
+        .iter()
+        .filter(|c| c.name == "fault.outcome")
+        .map(|c| c.value)
+        .sum();
+    // Every attempt, missed ones included: each analysis-chosen site at
+    // its fixed coordinates (two for a Detected VGPR), at two triggers.
+    let attempts: usize = rmt_kernels::all()
+        .iter()
+        .map(|b| {
+            let rk = transform(&b.kernel(), &TransformOptions::selective(50)).expect("transform");
+            let report = coverage::analyze(&rk);
+            pick_sites(&rk, &report)
+                .iter()
+                .map(|s| match s.kind {
+                    SiteKind::Vgpr(_) if s.class == Protection::Detected => 4,
+                    _ => 2,
+                })
+                .sum::<usize>()
+        })
+        .sum();
+    assert!(attempts > 0);
+    assert_eq!(ledger, attempts as u64);
 }
 
 #[test]

@@ -10,15 +10,6 @@ use rmt_core::{transform, TransformOptions};
 use rmt_ir::analysis::register_pressure;
 use rmt_kernels::{run_original, run_rmt, Scale};
 
-fn flavors() -> Vec<(&'static str, TransformOptions)> {
-    vec![
-        ("Intra+LDS", TransformOptions::intra_plus_lds()),
-        ("Intra-LDS", TransformOptions::intra_minus_lds()),
-        ("Inter", TransformOptions::inter()),
-        ("FAST", TransformOptions::intra_plus_lds().with_swizzle()),
-    ]
-}
-
 #[test]
 fn dispatcher_never_allocates_below_static_pressure() {
     let dev_cfg = DeviceConfig::small_test();
@@ -38,7 +29,7 @@ fn dispatcher_never_allocates_below_static_pressure() {
 
         // Every RMT flavor: the pressure of the *transformed* kernel is the
         // one the dispatcher must honor.
-        for (label, opts) in flavors() {
+        for (label, opts) in TransformOptions::full_stage() {
             let rk = transform(&bench.kernel(), &opts)
                 .unwrap_or_else(|e| panic!("{} {label}: transform: {e}", bench.abbrev()));
             let rmt_pressure = register_pressure(&rk.kernel);

@@ -77,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod coverage;
 pub mod decompose;
 mod error;

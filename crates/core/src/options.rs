@@ -159,6 +159,17 @@ impl TransformOptions {
         self.stage = Stage::RedundantNoComm;
         self
     }
+
+    /// The paper's four full-stage flavors with their column labels, in
+    /// paper order: Intra+LDS, Intra-LDS, Inter and FAST.
+    pub fn full_stage() -> [(&'static str, TransformOptions); 4] {
+        [
+            ("Intra+LDS", TransformOptions::intra_plus_lds()),
+            ("Intra-LDS", TransformOptions::intra_minus_lds()),
+            ("Inter", TransformOptions::inter()),
+            ("FAST", TransformOptions::intra_plus_lds().with_swizzle()),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -28,30 +28,24 @@
 
 use std::fmt;
 
+use crate::campaign::{self, Observed, Outcome, SiteKind, Violation};
 use crate::coverage as cov;
 use crate::launcher::RmtLauncher;
 use crate::options::TransformOptions;
 use crate::transform::{transform, RmtKernel};
 use crate::verify::verify_rmt;
-use gcn_sim::{
-    Arg, BufferId, Device, DeviceConfig, FaultPlan, FaultSampler, FaultTarget, LaunchConfig,
-};
+use gcn_sim::{Arg, BufferId, Device, DeviceConfig, FaultPlan, FaultSampler, LaunchConfig};
 use rmt_ir::analysis::lint::{lint_kernel, LintAssumptions, LintConfig};
-use rmt_ir::analysis::{Protection, Residency};
 use rmt_ir::fuzz::{generate, shrink, ArgSpec, FuzzCase, GenConfig};
-use rmt_ir::{validate, ParamKind, Reg, Ty};
+use rmt_ir::{validate, ParamKind, Ty};
 
-/// The five full-stage flavor columns every case is checked under, in
-/// paper order (plus the budgeted Selective flavor, exercised at a
-/// mid-range budget so both planned and unplanned exits occur).
+/// The five full-stage flavor columns every case is checked under: the
+/// paper's four in paper order, plus the budgeted Selective flavor,
+/// exercised at a mid-range budget so both planned and unplanned exits
+/// occur.
 pub fn flavors() -> [(&'static str, TransformOptions); 5] {
-    [
-        ("Intra+LDS", TransformOptions::intra_plus_lds()),
-        ("Intra-LDS", TransformOptions::intra_minus_lds()),
-        ("Inter", TransformOptions::inter()),
-        ("FAST", TransformOptions::intra_plus_lds().with_swizzle()),
-        ("Selective", TransformOptions::selective(60)),
-    ]
+    let [a, b, c, d] = TransformOptions::full_stage();
+    [a, b, c, d, ("Selective", TransformOptions::selective(60))]
 }
 
 /// Which oracle layer rejected the case.
@@ -213,51 +207,37 @@ fn materialize(dev: &mut Device, case: &FuzzCase) -> (Vec<Arg>, Vec<BufferId>) {
     (args, bufs)
 }
 
-/// Runs the *original* kernel fault-free. Returns the user buffer
-/// contents (the golden reference) and the dynamic instruction count.
-fn run_original(case: &FuzzCase, dev_cfg: &DeviceConfig) -> Result<(Vec<Vec<u8>>, u64), String> {
-    let mut dev = Device::new(dev_cfg.clone());
-    let (args, bufs) = materialize(&mut dev, case);
-    let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize).args(args);
-    let stats = dev
-        .launch(&case.kernel, &cfg)
-        .map_err(|e| format!("original launch failed: {e}"))?;
-    let golden = bufs.iter().map(|b| dev.read_buffer(*b)).collect();
-    Ok((golden, stats.counters.dyn_insts))
-}
-
-/// One transformed-kernel run's observables.
-struct FlavorRun {
-    detections: u32,
-    faults_applied: usize,
-    dyn_insts: u64,
-    /// User buffer contents after the run.
-    bufs: Vec<Vec<u8>>,
-}
-
-/// Runs a *transformed* kernel (optionally with faults) on a fresh
-/// device.
-fn run_flavor(
+/// Runs the original kernel (`rk` is `None`) or a transformed one,
+/// optionally with faults, on a fresh device.
+fn run(
     case: &FuzzCase,
     dev_cfg: &DeviceConfig,
-    rk: &RmtKernel,
+    rk: Option<&RmtKernel>,
     faults: FaultPlan,
-) -> Result<FlavorRun, String> {
+) -> Result<Observed, String> {
     let mut dev = Device::new(dev_cfg.clone());
     let (args, bufs) = materialize(&mut dev, case);
     let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize)
         .args(args)
         .faults(faults);
-    let mut launcher = RmtLauncher::new();
-    let run = launcher
-        .launch(&mut dev, rk, &cfg)
-        .map_err(|e| format!("{e}"))?;
-    let out = bufs.iter().map(|b| dev.read_buffer(*b)).collect();
-    Ok(FlavorRun {
-        detections: run.detections,
-        faults_applied: run.stats.faults_applied,
-        dyn_insts: run.stats.counters.dyn_insts,
-        bufs: out,
+    let (detections, stats) = match rk {
+        None => (
+            0,
+            dev.launch(&case.kernel, &cfg)
+                .map_err(|e| format!("original launch failed: {e}"))?,
+        ),
+        Some(rk) => {
+            let run = RmtLauncher::new()
+                .launch(&mut dev, rk, &cfg)
+                .map_err(|e| e.to_string())?;
+            (run.detections, run.stats)
+        }
+    };
+    Ok(Observed {
+        detections,
+        faults_applied: stats.faults_applied,
+        dyn_insts: stats.counters.dyn_insts,
+        bufs: bufs.iter().map(|b| dev.read_buffer(*b)).collect(),
     })
 }
 
@@ -269,107 +249,10 @@ fn lint_at(kernel: &rmt_ir::Kernel, local: u32) -> Vec<String> {
         .collect()
 }
 
-/// One injection site the campaign samples from, carrying the analysis
-/// verdict it must uphold.
-struct Site {
-    label: &'static str,
-    class: Protection,
-    reg: Option<Reg>,
-    lds: bool,
-}
-
-/// Sites chosen from the coverage report: a Detected-class and a
-/// Vulnerable-class user VGPR, the first user SRF broadcast, and the
-/// duplicated-or-not LDS allocation.
-fn pick_sites(rk: &RmtKernel, report: &rmt_ir::analysis::CoverageReport) -> Vec<Site> {
-    let mut sites = Vec::new();
-    let mut vgprs: Vec<Reg> = report
-        .windows
-        .iter()
-        .filter(|w| !w.machinery && w.residency == Residency::VgprLane)
-        .map(|w| w.reg)
-        .collect();
-    vgprs.sort_unstable();
-    vgprs.dedup();
-    for (label, class) in [
-        ("VGPR/detected", Protection::Detected),
-        ("VGPR/vulnerable", Protection::Vulnerable),
-    ] {
-        if let Some(&r) = vgprs
-            .iter()
-            .find(|&&r| report.vgpr_fault_class(r) == Some(class))
-        {
-            sites.push(Site {
-                label,
-                class,
-                reg: Some(r),
-                lds: false,
-            });
-        }
-    }
-    let mut uniform: Vec<Reg> = report
-        .windows
-        .iter()
-        .filter(|w| !w.machinery && w.residency == Residency::SrfBroadcast)
-        .map(|w| w.reg)
-        .collect();
-    uniform.sort_unstable();
-    uniform.dedup();
-    if let Some(&r) = uniform.first() {
-        if let Some(class) = report.sgpr_fault_class(r) {
-            sites.push(Site {
-                label: "SRF",
-                class,
-                reg: Some(r),
-                lds: false,
-            });
-        }
-    }
-    if rk.kernel.lds_bytes > 0 {
-        sites.push(Site {
-            label: "LDS",
-            class: report.lds_fault_class(),
-            reg: None,
-            lds: true,
-        });
-    }
-    sites
-}
-
-/// Records one injection in the campaign ledger: a `fault.outcome`
-/// counter keyed by (structure, outcome) — the deterministic tally the
-/// metrics snapshot reports — plus an instant trace event carrying the
-/// exact target and trigger for attribution in Perfetto. No-op (one
-/// atomic load) when no campaign is being recorded.
-fn note_injection(
-    structure: &'static str,
-    outcome: &'static str,
-    target: &FaultTarget,
-    trigger: u64,
-) {
-    if !rmt_obs::enabled() {
-        return;
-    }
-    rmt_obs::add(
-        "fault.outcome",
-        &[("structure", structure), ("outcome", outcome)],
-        1,
-    );
-    rmt_obs::instant(
-        "fault",
-        outcome,
-        vec![
-            ("structure".to_string(), structure.into()),
-            ("target".to_string(), format!("{target:?}").into()),
-            ("trigger".to_string(), trigger.into()),
-        ],
-    );
-}
-
 /// The sampled injection campaign for one flavor. `fault_free_insts` and
 /// `golden` come from the flavor's own clean run.
 #[allow(clippy::too_many_arguments)]
-fn campaign(
+fn inject(
     case: &FuzzCase,
     cfg: &OracleConfig,
     flavor_index: u64,
@@ -380,95 +263,34 @@ fn campaign(
     rep: &mut OracleReport,
 ) -> Result<(), OracleFailure> {
     let report = cov::analyze(rk);
-    let sites = pick_sites(rk, &report);
-    if sites.is_empty() {
-        return Ok(());
-    }
+    let sites = campaign::pick_sites(rk, &report);
     let mut sampler = FaultSampler::new(cfg.fault_seed ^ flavor_index.wrapping_mul(0x9E37));
-    // Injected runs that corrupt protocol state can spin; bound them by a
-    // watchdog a few times the fault-free length.
-    let mut inj_dev = cfg.device.clone();
-    inj_dev.watchdog_insts = fault_free_insts.saturating_mul(8).max(200_000);
-
-    for attempt in 0..cfg.max_injections {
-        let site = &sites[attempt % sites.len()];
-        let target = if site.lds {
-            // A word-aligned LDS offset inside the allocation.
-            let words = (rk.kernel.lds_bytes / 4).max(1);
-            FaultTarget::Lds {
-                group: 0,
-                offset: (sampler.below(u64::from(words)) as u32) * 4,
-                bit: sampler.bit8(),
-            }
-        } else {
-            let reg = site.reg.expect("register site");
-            match report.sgpr_fault_class(reg) {
-                Some(_) if site.label == "SRF" => FaultTarget::Sgpr {
-                    group: 0,
-                    wave: 0,
-                    reg: reg.0,
-                    bit: sampler.bit32(),
-                },
-                _ => FaultTarget::Vgpr {
-                    group: 0,
-                    wave: 0,
-                    reg: reg.0,
-                    lane: sampler.lane(),
-                    bit: sampler.bit32(),
-                },
-            }
+    let lds_words = u64::from((rk.kernel.lds_bytes / 4).max(1));
+    // Arguments evaluate left to right, so each target draws its
+    // coordinates in a fixed order before the trigger.
+    let attempts = sites.iter().cycle().take(cfg.max_injections).map(|site| {
+        let target = match site.kind {
+            SiteKind::Lds => site.target(0, sampler.below(lds_words) as u32 * 4, sampler.bit8()),
+            SiteKind::Sgpr(_) => site.target(0, 0, sampler.bit32()),
+            SiteKind::Vgpr(_) => site.target(sampler.lane(), 0, sampler.bit32()),
         };
-        let trigger = sampler.trigger(fault_free_insts);
-        let outcome = run_flavor(case, &inj_dev, rk, FaultPlan::single(trigger, target));
+        (site, target, sampler.trigger(fault_free_insts))
+    });
+    let inj_dev = campaign::injected_device(&cfg.device, fault_free_insts);
+    for entry in campaign::run(attempts, golden, |plan| run(case, &inj_dev, Some(rk), plan)) {
         rep.launches += 1;
-        let run = match outcome {
-            Err(_) => {
-                // Detectable-by-timeout (DUE): acceptable anywhere.
-                note_injection(site.label, "due", &target, trigger);
-                continue;
-            }
-            Ok(r) => r,
-        };
-        if run.faults_applied == 0 {
-            // Target missed (e.g. the group already retired).
-            note_injection(site.label, "missed", &target, trigger);
-            continue;
+        if matches!(
+            entry.outcome,
+            Outcome::Detected | Outcome::Sdc | Outcome::Masked
+        ) {
+            rep.injections += 1;
         }
-        rep.injections += 1;
-        let sdc = run.detections == 0 && run.bufs != golden;
-        let label = if run.detections > 0 {
-            "detected"
-        } else if sdc {
-            "sdc"
-        } else {
-            "masked"
-        };
-        note_injection(site.label, label, &target, trigger);
-        if sdc {
-            // Classify by the *actual* target (the SRF site can fall back
-            // to a VGPR injection) through the unified lookup.
-            let class = cov::fault_class(&report, &target).unwrap_or(site.class);
-            if class == Protection::Detected {
-                return Err(fail(
-                    FailureKind::CoverageSoundness,
-                    flavor,
-                    format!(
-                        "SDC at Detected-class site {} ({target:?}, trigger {trigger})",
-                        site.label
-                    ),
-                ));
+        match campaign::verdict(&report, &entry) {
+            Some(Violation::Soundness(m)) => {
+                return Err(fail(FailureKind::CoverageSoundness, flavor, m))
             }
-            if class != Protection::Vulnerable {
-                return Err(fail(
-                    FailureKind::CoverageRecall,
-                    flavor,
-                    format!(
-                        "SDC at {}-class site {} ({target:?}, trigger {trigger})",
-                        class.label(),
-                        site.label
-                    ),
-                ));
-            }
+            Some(Violation::Recall(m)) => return Err(fail(FailureKind::CoverageRecall, flavor, m)),
+            None => {}
         }
     }
     Ok(())
@@ -514,8 +336,9 @@ pub fn check_case_with(
         return Err(fail(FailureKind::LintDirty, "original", diags.join("; ")));
     }
     stage("golden_run", "original");
-    let (golden, orig_insts) =
-        run_original(case, &cfg.device).map_err(|m| fail(FailureKind::Sim, "original", m))?;
+    let original = run(case, &cfg.device, None, FaultPlan::none())
+        .map_err(|m| fail(FailureKind::Sim, "original", m))?;
+    let golden = original.bufs;
     rep.launches += 1;
 
     for (flavor_index, (label, opts)) in flavors().into_iter().enumerate() {
@@ -554,11 +377,10 @@ pub fn check_case_with(
         }
 
         stage("fault_free_run", label);
-        let run = run_flavor(case, &cfg.device, &rk, FaultPlan::none())
+        let clean = run(case, &cfg.device, Some(&rk), FaultPlan::none())
             .map_err(|m| fail(FailureKind::Sim, label, m))?;
         rep.launches += 1;
-        let det = run.detections;
-        let (insts, bufs) = (run.dyn_insts, run.bufs);
+        let (det, insts, bufs) = (clean.detections, clean.dyn_insts, clean.bufs);
         if det != 0 {
             return Err(fail(
                 FailureKind::FalseDetection,
@@ -583,13 +405,13 @@ pub fn check_case_with(
 
         if cfg.max_injections > 0 {
             stage("campaign", label);
-            campaign(
+            inject(
                 case,
                 cfg,
                 flavor_index as u64,
                 label,
                 &rk,
-                insts.max(orig_insts),
+                insts.max(original.dyn_insts),
                 &bufs,
                 &mut rep,
             )?;
@@ -660,7 +482,7 @@ pub fn run_case(
 mod tests {
     use super::*;
     use rmt_ir::fuzz::child_seed;
-    use rmt_ir::{AtomicOp, Inst, MemSpace};
+    use rmt_ir::{AtomicOp, Inst, MemSpace, Reg};
 
     #[test]
     fn generated_cases_pass_the_oracle() {

@@ -125,16 +125,7 @@ impl Device {
         cfg: &LaunchConfig,
     ) -> Result<LaunchStats, SimError> {
         let machine = Machine::new(&self.config, kernel, &mut self.memory, cfg)?;
-        let (counters, power, occupancy, faults_applied, _, _) = machine.run()?;
-        let stats = LaunchStats {
-            cycles: counters.cycles(),
-            counters,
-            power,
-            occupancy,
-            faults_applied,
-        };
-        stats.publish_obs();
-        Ok(stats)
+        Ok(machine.run()?.stats)
     }
 
     /// Launches a kernel while recording an execution trace.
@@ -151,16 +142,8 @@ impl Device {
         let compiled = compile(kernel)?;
         let mut machine = Machine::new(&self.config, &compiled, &mut self.memory, cfg)?;
         machine.set_tracer(trace_cfg);
-        let (counters, power, occupancy, faults_applied, trace, _) = machine.run()?;
-        let stats = LaunchStats {
-            cycles: counters.cycles(),
-            counters,
-            power,
-            occupancy,
-            faults_applied,
-        };
-        stats.publish_obs();
-        Ok((stats, trace))
+        let run = machine.run()?;
+        Ok((run.stats, run.trace))
     }
 
     /// Launches a kernel with cycle-attributed profiling enabled: every
@@ -195,16 +178,8 @@ impl Device {
     ) -> Result<(LaunchStats, crate::profile::Profile), SimError> {
         let mut machine = Machine::new(&self.config, kernel, &mut self.memory, cfg)?;
         machine.set_profiler(profile_cfg);
-        let (counters, power, occupancy, faults_applied, _, profile) = machine.run()?;
-        let stats = LaunchStats {
-            cycles: counters.cycles(),
-            counters,
-            power,
-            occupancy,
-            faults_applied,
-        };
-        stats.publish_obs();
-        Ok((stats, profile.expect("profiler was attached")))
+        let run = machine.run()?;
+        Ok((run.stats, run.profile.expect("profiler was attached")))
     }
 }
 

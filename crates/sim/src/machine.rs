@@ -62,7 +62,7 @@ use crate::engine::{PipeUnit, WakeQueue};
 use crate::error::SimError;
 use crate::fault::FaultTarget;
 use crate::flat::{CompiledKernel, FlatOp, OpMeta};
-use crate::launch::{LaunchConfig, Occupancy, OccupancyLimiter};
+use crate::launch::{LaunchConfig, LaunchStats, Occupancy, OccupancyLimiter};
 use crate::memory::{DramTimer, GlobalMemory};
 use crate::power::PowerModel;
 use rmt_ir::{AtomicOp, Builtin, Inst, MemSpace, ParamKind, Reg};
@@ -144,6 +144,15 @@ struct CuState {
     write: PipeUnit,
     resident: usize,
     wave_rr: usize, // round-robin SIMD assignment
+}
+
+/// A completed run: the launch's statistics (already published to the
+/// campaign metrics) plus whatever the attached tracer and profiler
+/// recorded.
+pub(crate) struct Finished {
+    pub(crate) stats: LaunchStats,
+    pub(crate) trace: crate::trace::Trace,
+    pub(crate) profile: Option<crate::profile::Profile>,
 }
 
 pub(crate) struct Machine<'a> {
@@ -571,20 +580,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Runs the launch to completion.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run(
-        mut self,
-    ) -> Result<
-        (
-            PerfCounters,
-            crate::power::PowerStats,
-            Occupancy,
-            usize,
-            crate::trace::Trace,
-            Option<crate::profile::Profile>,
-        ),
-        SimError,
-    > {
+    pub(crate) fn run(mut self) -> Result<Finished, SimError> {
         match self.engine {
             SimEngine::Event => self.run_event()?,
             SimEngine::LockStep => self.run_lockstep()?,
@@ -616,14 +612,19 @@ impl<'a> Machine<'a> {
             }
             prof
         });
-        Ok((
-            self.counters,
+        let stats = LaunchStats {
+            cycles: self.counters.cycles(),
+            counters: self.counters,
             power,
-            self.occupancy,
-            self.faults_applied,
+            occupancy: self.occupancy,
+            faults_applied: self.faults_applied,
+        };
+        stats.publish_obs();
+        Ok(Finished {
+            stats,
             trace,
             profile,
-        ))
+        })
     }
 
     // ---- fault injection -------------------------------------------------
