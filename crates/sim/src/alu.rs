@@ -1,12 +1,139 @@
-//! Pure per-lane ALU semantics.
+//! Pure per-lane ALU semantics, and their lane-array form.
 //!
 //! Every value is a 32-bit pattern; the instruction's [`Ty`] decides how the
 //! pattern is interpreted. Division and remainder by zero produce 0 for
 //! integer types (GPU convention) and follow IEEE-754 for floats.
+//!
+//! The scalar `eval_*` functions are the only definition of what an
+//! operator does to one lane. The `eval_*_lanes` forms apply one to a whole
+//! wavefront: they match the operator once and then run a loop in which
+//! the scalar function is called with that operator as a constant, so the
+//! per-lane dispatch folds away while the semantics stay defined in one
+//! place.
 
 use rmt_ir::{BinOp, CmpOp, Ty, UnOp};
 
+/// Lanes in a wavefront: the length of every lane array here.
+pub const LANES: usize = 64;
+
+/// Ascending-order iterator over the set bits of an EXEC mask: a bit-scan
+/// per active lane instead of a 64-iteration filter, so sparse masks
+/// (divergent regions, partial tail waves) cost only their population.
+pub(crate) struct Lanes(pub(crate) u64);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            None
+        } else {
+            let l = self.0.trailing_zeros() as usize;
+            self.0 &= self.0 - 1;
+            Some(l)
+        }
+    }
+}
+
+/// Runs `f` on every lane set in `mask`, in ascending order: a plain
+/// `0..LANES` loop when the mask is full, a bit-scan otherwise.
+#[inline(always)]
+pub(crate) fn each_lane(mask: u64, mut f: impl FnMut(usize)) {
+    if mask == u64::MAX {
+        for l in 0..LANES {
+            f(l);
+        }
+    } else {
+        for l in Lanes(mask) {
+            f(l);
+        }
+    }
+}
+
+#[inline(always)]
+fn map1(a: &[u32; LANES], mask: u64, out: &mut [u32; LANES], f: impl Fn(u32) -> u32) {
+    each_lane(mask, |l| out[l] = f(a[l]));
+}
+
+#[inline(always)]
+fn map2(
+    a: &[u32; LANES],
+    b: &[u32; LANES],
+    mask: u64,
+    out: &mut [u32; LANES],
+    f: impl Fn(u32, u32) -> u32,
+) {
+    each_lane(mask, |l| out[l] = f(a[l], b[l]));
+}
+
+/// [`eval_bin`] on every lane set in `mask`: `out[l] = a[l] op b[l]`.
+/// Lanes outside `mask` keep their value.
+pub fn eval_bin_lanes(
+    op: BinOp,
+    ty: Ty,
+    a: &[u32; LANES],
+    b: &[u32; LANES],
+    mask: u64,
+    out: &mut [u32; LANES],
+) {
+    macro_rules! arms {
+        ($($t:ident: $($o:ident)*;)*) => {
+            match (ty, op) {
+                $($((Ty::$t, BinOp::$o) => {
+                    map2(a, b, mask, out, |x, y| eval_bin(BinOp::$o, Ty::$t, x, y))
+                })*)*
+            }
+        };
+    }
+    arms! {
+        U32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+        I32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+        F32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+    }
+}
+
+/// [`eval_cmp`] on every lane set in `mask`: `out[l] = (a[l] op b[l]) as
+/// u32`. Lanes outside `mask` keep their value.
+pub fn eval_cmp_lanes(
+    op: CmpOp,
+    ty: Ty,
+    a: &[u32; LANES],
+    b: &[u32; LANES],
+    mask: u64,
+    out: &mut [u32; LANES],
+) {
+    macro_rules! arms {
+        ($($t:ident: $($o:ident)*;)*) => {
+            match (ty, op) {
+                $($((Ty::$t, CmpOp::$o) => {
+                    map2(a, b, mask, out, |x, y| eval_cmp(CmpOp::$o, Ty::$t, x, y))
+                })*)*
+            }
+        };
+    }
+    arms! {
+        U32: Eq Ne Lt Le Gt Ge;
+        I32: Eq Ne Lt Le Gt Ge;
+        F32: Eq Ne Lt Le Gt Ge;
+    }
+}
+
+/// [`eval_un`] on every lane set in `mask`: `out[l] = op a[l]`. Lanes
+/// outside `mask` keep their value.
+pub fn eval_un_lanes(op: UnOp, a: &[u32; LANES], mask: u64, out: &mut [u32; LANES]) {
+    macro_rules! arms {
+        ($($o:ident)*) => {
+            match op {
+                $(UnOp::$o => map1(a, mask, out, |x| eval_un(UnOp::$o, x)),)*
+            }
+        };
+    }
+    arms!(Not Neg Abs Exp Log Sqrt Rsqrt Sin Cos Floor F32ToI32 I32ToF32 U32ToF32 F32ToU32);
+}
+
 /// Evaluates a binary operator on two 32-bit patterns at type `ty`.
+#[inline]
 pub fn eval_bin(op: BinOp, ty: Ty, a: u32, b: u32) -> u32 {
     match ty {
         Ty::U32 => eval_bin_u32(op, a, b),
@@ -15,6 +142,7 @@ pub fn eval_bin(op: BinOp, ty: Ty, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline]
 fn eval_bin_u32(op: BinOp, a: u32, b: u32) -> u32 {
     match op {
         BinOp::Add => a.wrapping_add(b),
@@ -32,6 +160,7 @@ fn eval_bin_u32(op: BinOp, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline]
 fn eval_bin_i32(op: BinOp, a: i32, b: i32) -> i32 {
     match op {
         BinOp::Add => a.wrapping_add(b),
@@ -61,12 +190,33 @@ fn eval_bin_i32(op: BinOp, a: i32, b: i32) -> i32 {
     }
 }
 
+/// Pins the NaN an arithmetic op returns to one rule: a NaN operand
+/// propagates quieted, the first one winning; with no NaN operand, the
+/// hardware's default NaN stands. Rust leaves NaN payloads unspecified and
+/// the compiler may commute operands (it does in vectorized lane loops), so
+/// without this two NaN inputs could give either payload. The rule is the
+/// one x86 SSE applies to scalar operands.
+#[inline]
+fn pin_nan(a: f32, b: f32, r: f32) -> f32 {
+    const QUIET: u32 = 0x0040_0000;
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f32::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f32::from_bits(b.to_bits() | QUIET)
+    } else {
+        r
+    }
+}
+
+#[inline]
 fn eval_bin_f32(op: BinOp, a: f32, b: f32) -> f32 {
     match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
+        BinOp::Add => pin_nan(a, b, a + b),
+        BinOp::Sub => pin_nan(a, b, a - b),
+        BinOp::Mul => pin_nan(a, b, a * b),
+        BinOp::Div => pin_nan(a, b, a / b),
         BinOp::Rem => a % b,
         BinOp::Min => a.min(b),
         BinOp::Max => a.max(b),
@@ -76,6 +226,7 @@ fn eval_bin_f32(op: BinOp, a: f32, b: f32) -> f32 {
 }
 
 /// Evaluates a comparison at type `ty`, returning 0 or 1.
+#[inline]
 pub fn eval_cmp(op: CmpOp, ty: Ty, a: u32, b: u32) -> u32 {
     let r = match ty {
         Ty::U32 => match op {
@@ -113,6 +264,7 @@ pub fn eval_cmp(op: CmpOp, ty: Ty, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluates a unary operator on a 32-bit pattern.
+#[inline]
 pub fn eval_un(op: UnOp, a: u32) -> u32 {
     match op {
         UnOp::Not => !a,

@@ -67,6 +67,10 @@ impl CacheStats {
     }
 }
 
+/// Index of one way of a [`Cache`], as returned by [`Cache::way_of`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WayId(usize);
+
 #[derive(Debug, Clone)]
 struct Way {
     tag: u64,
@@ -145,7 +149,7 @@ impl Cache {
             true
         } else {
             self.stats.read_misses += 1;
-            self.insert(line_addr, Vec::new());
+            self.insert(line_addr);
             false
         }
     }
@@ -160,9 +164,7 @@ impl Cache {
             Some(i) => {
                 self.ways[i].stamp = self.stamp;
                 self.stats.read_hits += 1;
-                let off = (addr - line_addr) as usize;
-                let d = &self.ways[i].data;
-                Some(u32::from_le_bytes(d[off..off + 4].try_into().expect("4B")))
+                Some(self.word(WayId(i), addr))
             }
             None => {
                 self.stats.read_misses += 1;
@@ -171,47 +173,46 @@ impl Cache {
         }
     }
 
-    /// Reads a word from a cached line *without* touching stats or LRU.
-    /// Used for the functional value after timing was already charged.
-    pub fn peek_word(&self, addr: u32) -> Option<u32> {
-        if !self.with_data {
-            return None;
-        }
-        let line_addr = self.line_addr(addr);
-        self.find(line_addr).map(|i| {
-            let off = (addr - line_addr) as usize;
-            let d = &self.ways[i].data;
-            u32::from_le_bytes(d[off..off + 4].try_into().expect("4B"))
-        })
+    /// The way currently holding the line of `addr`, if any (no stats, no
+    /// LRU update). A memory instruction resolves this once per line; it
+    /// stays valid until the next fill or invalidation.
+    pub(crate) fn way_of(&self, addr: u32) -> Option<WayId> {
+        self.find(self.line_addr(addr)).map(WayId)
     }
 
-    /// Installs line contents after a miss (data caches).
-    pub fn fill(&mut self, line_addr: u32, data: Vec<u8>) {
+    /// The word at `addr` in `way`, which holds `addr`'s line (data caches
+    /// only; no stats, no LRU update).
+    pub(crate) fn word(&self, way: WayId, addr: u32) -> u32 {
+        let off = (addr & (self.line - 1)) as usize;
+        let d = &self.ways[way.0].data;
+        u32::from_le_bytes(d[off..off + 4].try_into().expect("4B"))
+    }
+
+    /// Installs a line after a miss (data caches): `read` copies the line
+    /// contents into the victim way's buffer, which is reused across fills.
+    pub fn fill(&mut self, line_addr: u32, read: impl FnOnce(&mut [u8])) {
+        debug_assert!(self.with_data);
         let line_addr = self.line_addr(line_addr);
-        debug_assert_eq!(
-            data.len(),
-            if self.with_data {
-                self.line as usize
-            } else {
-                0
-            }
-        );
         if self.find(line_addr).is_none() {
-            self.insert(line_addr, data);
+            let way = self.insert(line_addr);
+            let data = &mut self.ways[way].data;
+            data.resize(self.line as usize, 0);
+            read(data);
         }
     }
 
-    /// Write-through store: updates the cached copy if present (no
-    /// allocation on miss). Returns `true` on hit.
-    pub fn store_word(&mut self, addr: u32, value: u32) -> bool {
-        let line_addr = self.line_addr(addr);
+    /// Write-through store of one word: updates the cached copy if `way`
+    /// (from [`Cache::way_of`] for `addr`) holds it; no allocation on
+    /// miss. Returns `true` on hit. Stats and the LRU stamp advance per
+    /// call, as for any access.
+    pub(crate) fn store_word(&mut self, way: Option<WayId>, addr: u32, value: u32) -> bool {
         self.stamp += 1;
-        match self.find(line_addr) {
-            Some(i) => {
+        match way {
+            Some(WayId(i)) => {
                 self.ways[i].stamp = self.stamp;
                 self.stats.write_hits += 1;
                 if self.with_data {
-                    let off = (addr - line_addr) as usize;
+                    let off = (addr & (self.line - 1)) as usize;
                     self.ways[i].data[off..off + 4].copy_from_slice(&value.to_le_bytes());
                 }
                 true
@@ -223,12 +224,10 @@ impl Cache {
         }
     }
 
-    /// Drops a line (used when an atomic bypasses this cache).
-    pub fn invalidate(&mut self, line_addr: u32) {
-        let line_addr = self.line_addr(line_addr);
-        if let Some(i) = self.find(line_addr) {
-            self.ways[i].valid = false;
-        }
+    /// Drops the line held by `way` (used when an atomic bypasses this
+    /// cache).
+    pub(crate) fn invalidate(&mut self, way: WayId) {
+        self.ways[way.0].valid = false;
     }
 
     /// Flips a bit in a cached line's data copy, if present. Returns `true`
@@ -253,7 +252,9 @@ impl Cache {
         self.ways.iter().filter(|w| w.valid).count()
     }
 
-    fn insert(&mut self, line_addr: u32, data: Vec<u8>) {
+    /// Claims a way for `line_addr` (an invalid one, else the LRU) and
+    /// returns it; the way keeps its data buffer for the caller to refill.
+    fn insert(&mut self, line_addr: u32) -> usize {
         let set = self.set_of(line_addr);
         let range = set * self.assoc..(set + 1) * self.assoc;
         // Prefer an invalid way; otherwise evict LRU.
@@ -273,12 +274,11 @@ impl Cache {
             self.stats.evictions += 1;
         }
         self.stamp += 1;
-        self.ways[victim] = Way {
-            tag: line_addr as u64,
-            valid: true,
-            stamp: self.stamp,
-            data,
-        };
+        let way = &mut self.ways[victim];
+        way.tag = line_addr as u64;
+        way.valid = true;
+        way.stamp = self.stamp;
+        victim
     }
 }
 
@@ -286,8 +286,13 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn line_data(seed: u8) -> Vec<u8> {
-        (0..64).map(|i| seed.wrapping_add(i)).collect()
+    /// A fill source writing bytes `seed, seed+1, …` into the line.
+    fn line_data(seed: u8) -> impl FnOnce(&mut [u8]) {
+        move |buf| {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = seed.wrapping_add(i as u8);
+            }
+        }
     }
 
     #[test]
@@ -304,10 +309,13 @@ mod tests {
     #[test]
     fn write_through_updates_copy_without_allocating() {
         let mut c = Cache::new(1024, 64, 2, true);
-        assert!(!c.store_word(0x100, 7), "miss, no allocate");
+        assert!(
+            !c.store_word(c.way_of(0x100), 0x100, 7),
+            "miss, no allocate"
+        );
         assert_eq!(c.valid_lines(), 0);
         c.fill(0x100, line_data(0));
-        assert!(c.store_word(0x100, 0xAABBCCDD));
+        assert!(c.store_word(c.way_of(0x100), 0x100, 0xAABBCCDD));
         assert_eq!(c.load_word(0x100), Some(0xAABBCCDD));
     }
 
@@ -326,6 +334,18 @@ mod tests {
     }
 
     #[test]
+    fn refill_reuses_the_victim_buffer() {
+        // 1 set of 1 way: every fill evicts and rewrites the same buffer.
+        let mut c = Cache::new(64, 64, 1, true);
+        c.fill(0x000, line_data(1));
+        c.fill(0x040, line_data(100));
+        assert_eq!(c.stats.evictions, 1);
+        let way = c.way_of(0x044).expect("just filled");
+        assert_eq!(c.word(way, 0x044), u32::from_le_bytes([104, 105, 106, 107]));
+        assert!(c.way_of(0x000).is_none());
+    }
+
+    #[test]
     fn tags_only_touch() {
         let mut c = Cache::new(256, 64, 4, false);
         assert!(!c.touch_read(0x40));
@@ -339,14 +359,15 @@ mod tests {
         let mut c = Cache::new(1024, 64, 2, true);
         c.fill(0x200, line_data(9));
         assert!(c.contains(0x200));
-        c.invalidate(0x210); // any addr in line
+        let way = c.way_of(0x210).expect("any addr in the line finds it");
+        c.invalidate(way);
         assert!(!c.contains(0x200));
     }
 
     #[test]
     fn flip_bit_corrupts_cached_copy() {
         let mut c = Cache::new(1024, 64, 2, true);
-        c.fill(0x100, vec![0u8; 64]);
+        c.fill(0x100, |b| b.fill(0));
         assert!(c.flip_bit(0x104, 3));
         assert_eq!(c.load_word(0x104), Some(8));
         assert!(!c.flip_bit(0x900, 0), "uncached line");

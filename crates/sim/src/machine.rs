@@ -54,8 +54,8 @@
 //! 5. functional effects (register writes, LDS/global stores, L1 fills)
 //!    land last, then the wave re-arms at its new `ready_at`.
 
-use crate::alu;
-use crate::cache::{Cache, L2Banks};
+use crate::alu::{self, each_lane, Lanes, LANES};
+use crate::cache::{Cache, L2Banks, WayId};
 use crate::config::{DeviceConfig, SimEngine};
 use crate::counters::PerfCounters;
 use crate::engine::{PipeUnit, WakeQueue};
@@ -63,29 +63,133 @@ use crate::error::SimError;
 use crate::fault::FaultTarget;
 use crate::flat::{CompiledKernel, FlatOp, OpMeta};
 use crate::launch::{LaunchConfig, LaunchStats, Occupancy, OccupancyLimiter};
-use crate::memory::{DramTimer, GlobalMemory};
+use crate::memory::{DramTimer, Extent, GlobalMemory};
 use crate::power::PowerModel;
 use rmt_ir::{AtomicOp, Builtin, Inst, MemSpace, ParamKind, Reg};
 
-const LANES: usize = 64;
+/// A copy of register `r`'s lanes. Instructions read their operands
+/// through copies, so the destination may be one of them.
+fn lanes_of(regs: &[u32], r: Reg) -> [u32; LANES] {
+    let i = r.0 as usize * LANES;
+    regs[i..i + LANES]
+        .try_into()
+        .expect("a register holds LANES lanes")
+}
 
-/// Ascending-order iterator over the set bits of an EXEC mask: a bit-scan
-/// per active lane instead of a 64-iteration filter, so sparse masks
-/// (divergent regions, partial tail waves) cost only their population.
-struct Lanes(u64);
+/// Register `r`'s lanes, for writing.
+fn lanes_mut(regs: &mut [u32], r: Reg) -> &mut [u32; LANES] {
+    let i = r.0 as usize * LANES;
+    (&mut regs[i..i + LANES])
+        .try_into()
+        .expect("a register holds LANES lanes")
+}
 
-impl Iterator for Lanes {
-    type Item = usize;
+/// One coalesced cache line of a global memory instruction. Its L1 way
+/// and its buffer's extent are resolved once and shared by all its lanes.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    addr: u32,
+    way: Option<WayId>,
+    extent: Option<Extent>,
+}
 
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            let l = self.0.trailing_zeros() as usize;
-            self.0 &= self.0 - 1;
-            Some(l)
+/// Gathers the distinct lines that `addrs` touch under `mask` into `lines`
+/// in first-touch (ascending lane) order, and records each active lane's
+/// index into `lines` in `lane_line`.
+fn coalesce(
+    addrs: &[u32; LANES],
+    mask: u64,
+    line_mask: u32,
+    lines: &mut Vec<Line>,
+    lane_line: &mut [u8; LANES],
+) {
+    lines.clear();
+    for l in Lanes(mask) {
+        let addr = addrs[l] & line_mask;
+        // Neighbouring lanes usually share a line: search newest first.
+        let k = lines
+            .iter()
+            .rposition(|x| x.addr == addr)
+            .unwrap_or_else(|| {
+                lines.push(Line {
+                    addr,
+                    way: None,
+                    extent: None,
+                });
+                lines.len() - 1
+            });
+        lane_line[l] = k as u8;
+    }
+}
+
+/// Validates an LDS word access and returns its byte offset: 4-byte
+/// aligned and inside the group's `lds_bytes`. The end is compared in 64
+/// bits, so an address within 4 bytes of `u32::MAX` cannot wrap past it.
+fn lds_offset(a: u32, lds_bytes: u32) -> Result<usize, SimError> {
+    if !a.is_multiple_of(4) {
+        return Err(SimError::UnalignedAccess { addr: a });
+    }
+    if u64::from(a) + 4 > u64::from(lds_bytes) {
+        return Err(SimError::BadLdsAccess {
+            offset: a,
+            lds_bytes,
+        });
+    }
+    Ok(a as usize)
+}
+
+/// Bank-conflict factor of one LDS access: 32 banks of 4-byte words, and
+/// the 64-lane wave is served in two 32-lane phases, so the factor is the
+/// deeper phase's deepest bank. Identical addresses within a phase
+/// broadcast, so a bank's depth counts its *distinct* words.
+///
+/// `seen` is a zeroed bitset with one bit per LDS word, which every active
+/// address must already be validated against; it is zeroed again on
+/// return. One pass over the active lanes, however they collide.
+fn lds_conflict_factor(addrs: &[u32; LANES], mask: u64, seen: &mut [u64]) -> u64 {
+    let mut factor = 1u64;
+    for phase in [mask & 0xFFFF_FFFF, mask & !0xFFFF_FFFF] {
+        let mut depth = [0u8; 32];
+        for l in Lanes(phase) {
+            let w = (addrs[l] / 4) as usize;
+            let bit = 1u64 << (w % 64);
+            if seen[w / 64] & bit == 0 {
+                seen[w / 64] |= bit;
+                let bank = w % 32;
+                depth[bank] += 1;
+                factor = factor.max(u64::from(depth[bank]));
+            }
         }
+        for l in Lanes(phase) {
+            seen[(addrs[l] / 4) as usize / 64] = 0;
+        }
+    }
+    factor
+}
+
+/// The value an atomic leaves in memory, given the old value, the lane's
+/// operand and (for compare-exchange) its comparand.
+fn atomic_result(op: AtomicOp, old: u32, v: u32, cmp: u32) -> u32 {
+    match op {
+        AtomicOp::Add => old.wrapping_add(v),
+        AtomicOp::Exchange => v,
+        AtomicOp::CmpXchg { .. } => {
+            if old == cmp {
+                v
+            } else {
+                old
+            }
+        }
+        AtomicOp::Max => old.max(v),
+        AtomicOp::Min => old.min(v),
+    }
+}
+
+/// The comparand lanes of a compare-exchange (zeros for other atomics).
+fn cmp_lanes(regs: &[u32], op: AtomicOp) -> [u32; LANES] {
+    match op {
+        AtomicOp::CmpXchg { cmp } => lanes_of(regs, cmp),
+        _ => [0; LANES],
     }
 }
 
@@ -188,9 +292,12 @@ pub(crate) struct Machine<'a> {
     next_fault: usize,
     faults_applied: usize,
 
-    /// Reused coalescing buffer for global load/store line gathering
-    /// (avoids a heap allocation per memory instruction).
-    line_scratch: Vec<u32>,
+    /// Reused coalescing buffer for global memory instructions (avoids a
+    /// heap allocation per instruction).
+    lines: Vec<Line>,
+    /// Zeroed bitset over the LDS words, scratch for
+    /// [`lds_conflict_factor`].
+    lds_seen: Vec<u64>,
 
     tracer: Option<crate::trace::Tracer>,
     profiler: Option<crate::profile::Profiler>,
@@ -368,7 +475,8 @@ impl<'a> Machine<'a> {
             faults,
             next_fault: 0,
             faults_applied: 0,
-            line_scratch: Vec::with_capacity(LANES),
+            lines: Vec::with_capacity(LANES),
+            lds_seen: vec![0; (kernel.lds_bytes as usize / 4).div_ceil(64)],
             tracer: None,
             profiler: None,
         };
@@ -709,39 +817,40 @@ impl<'a> Machine<'a> {
 
     // ---- per-instruction execution ----------------------------------------
 
-    fn reg(&self, wid: usize, r: Reg, lane: usize) -> u32 {
-        self.waves[wid].regs[r.0 as usize * LANES + lane]
-    }
-
-    fn set_reg(&mut self, wid: usize, r: Reg, lane: usize, v: u32) {
-        self.waves[wid].regs[r.0 as usize * LANES + lane] = v;
-    }
-
-    fn lanes(mask: u64) -> Lanes {
-        Lanes(mask)
-    }
-
-    fn builtin_value(&self, wid: usize, b: Builtin, lane: usize) -> u32 {
+    /// Builtin `b`'s value in every lane of wave `wid`, inactive lanes
+    /// included. Uniform builtins are one value; the id builtins step the
+    /// lanes' local coordinates along instead of dividing per lane.
+    fn builtin_lanes(&self, wid: usize, b: Builtin) -> [u32; LANES] {
         let w = &self.waves[wid];
         let g = &self.groups[w.group];
-        let ll = w.wave_in_group * LANES + lane; // local linear index
-        let lsx = self.local[0];
-        let lsy = self.local[1];
-        let lcoord = [
-            (ll % lsx) as u32,
-            ((ll / lsx) % lsy) as u32,
-            (ll / (lsx * lsy)) as u32,
-        ];
-        match b {
+        let (d, base) = match b {
             Builtin::GlobalId(d) => {
-                g.coords[d.0 as usize] * self.local[d.0 as usize] as u32 + lcoord[d.0 as usize]
+                let d = d.0 as usize;
+                (d, g.coords[d] * self.local[d] as u32)
             }
-            Builtin::LocalId(d) => lcoord[d.0 as usize],
-            Builtin::GroupId(d) => g.coords[d.0 as usize],
-            Builtin::GlobalSize(d) => self.global[d.0 as usize] as u32,
-            Builtin::LocalSize(d) => self.local[d.0 as usize] as u32,
-            Builtin::NumGroups(d) => self.group_dims[d.0 as usize] as u32,
+            Builtin::LocalId(d) => (d.0 as usize, 0),
+            Builtin::GroupId(d) => return [g.coords[d.0 as usize]; LANES],
+            Builtin::GlobalSize(d) => return [self.global[d.0 as usize] as u32; LANES],
+            Builtin::LocalSize(d) => return [self.local[d.0 as usize] as u32; LANES],
+            Builtin::NumGroups(d) => return [self.group_dims[d.0 as usize] as u32; LANES],
+        };
+        let [lsx, lsy, _] = self.local;
+        let ll = w.wave_in_group * LANES; // local linear index of lane 0
+        let mut c = [ll % lsx, (ll / lsx) % lsy, ll / (lsx * lsy)];
+        let mut out = [0; LANES];
+        for v in &mut out {
+            *v = base + c[d] as u32;
+            c[0] += 1;
+            if c[0] == lsx {
+                c[0] = 0;
+                c[1] += 1;
+                if c[1] == lsy {
+                    c[1] = 0;
+                    c[2] += 1;
+                }
+            }
         }
+        out
     }
 
     /// Charges an ALU op and returns nothing; updates ready_at.
@@ -899,7 +1008,7 @@ impl<'a> Machine<'a> {
                 let cbase = cond.0 as usize * LANES;
                 let regs = &self.waves[wid].regs;
                 let mut tmask = 0u64;
-                for l in Self::lanes(mask) {
+                for l in Lanes(mask) {
                     if regs[cbase + l] != 0 {
                         tmask |= 1 << l;
                     }
@@ -951,7 +1060,7 @@ impl<'a> Machine<'a> {
                 let cbase = cond.0 as usize * LANES;
                 let regs = &self.waves[wid].regs;
                 let mut active = 0u64;
-                for l in Self::lanes(mask) {
+                for l in Lanes(mask) {
                     if regs[cbase + l] != 0 {
                         active |= 1 << l;
                     }
@@ -1039,102 +1148,52 @@ impl<'a> Machine<'a> {
         transcendental: bool,
     ) -> Result<(), SimError> {
         let mask = self.waves[wid].mask;
-        // ALU arms hoist the register-file borrow and per-register base
-        // indices out of the lane loop, with a full-mask (non-divergent)
-        // fast path that iterates 0..64 directly instead of bit-scanning.
+        // Everything that depends only on the instruction — operator and
+        // type dispatch, register bases, builtin geometry — is resolved
+        // once here; only per-lane work runs in the lane loops.
+        let regs = &mut self.waves[wid].regs;
         match inst {
             Inst::Const { dst, bits, .. } => {
-                let di = dst.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    regs[di..di + LANES].fill(*bits);
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = *bits;
-                    }
-                }
+                let out = lanes_mut(regs, *dst);
+                each_lane(mask, |l| out[l] = *bits);
                 self.advance(wid, t, scalar, false);
             }
             Inst::ReadParam { dst, index } => {
                 let v = self.param_values[*index];
-                let di = dst.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    regs[di..di + LANES].fill(v);
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = v;
-                    }
-                }
+                let out = lanes_mut(regs, *dst);
+                each_lane(mask, |l| out[l] = v);
                 self.advance(wid, t, scalar, false);
             }
             Inst::ReadBuiltin { dst, builtin } => {
-                for l in Self::lanes(mask) {
-                    let v = self.builtin_value(wid, *builtin, l);
-                    self.set_reg(wid, *dst, l, v);
-                }
+                let v = self.builtin_lanes(wid, *builtin);
+                let out = lanes_mut(&mut self.waves[wid].regs, *dst);
+                each_lane(mask, |l| out[l] = v[l]);
                 self.advance(wid, t, scalar, false);
             }
             Inst::Mov { dst, src } => {
-                let di = dst.0 as usize * LANES;
-                let si = src.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
+                let (di, si) = (dst.0 as usize * LANES, src.0 as usize * LANES);
                 if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = regs[si + l];
-                    }
+                    regs.copy_within(si..si + LANES, di);
                 } else {
-                    for l in Self::lanes(mask) {
+                    for l in Lanes(mask) {
                         regs[di + l] = regs[si + l];
                     }
                 }
                 self.advance(wid, t, scalar, false);
             }
             Inst::Unary { dst, op, a } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_un(*op, regs[ai + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_un(*op, regs[ai + l]);
-                    }
-                }
+                let a = lanes_of(regs, *a);
+                alu::eval_un_lanes(*op, &a, mask, lanes_mut(regs, *dst));
                 self.advance(wid, t, scalar, transcendental);
             }
             Inst::Binary { dst, op, ty, a, b } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let bi = b.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_bin(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_bin(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                }
+                let (a, b) = (lanes_of(regs, *a), lanes_of(regs, *b));
+                alu::eval_bin_lanes(*op, *ty, &a, &b, mask, lanes_mut(regs, *dst));
                 self.advance(wid, t, scalar, false);
             }
             Inst::Cmp { dst, op, ty, a, b } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let bi = b.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_cmp(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_cmp(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                }
+                let (a, b) = (lanes_of(regs, *a), lanes_of(regs, *b));
+                alu::eval_cmp_lanes(*op, *ty, &a, &b, mask, lanes_mut(regs, *dst));
                 self.advance(wid, t, scalar, false);
             }
             Inst::Select {
@@ -1143,34 +1202,17 @@ impl<'a> Machine<'a> {
                 if_true,
                 if_false,
             } => {
-                let di = dst.0 as usize * LANES;
-                let ci = cond.0 as usize * LANES;
-                let ti = if_true.0 as usize * LANES;
-                let fi = if_false.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        let src = if regs[ci + l] != 0 { ti } else { fi };
-                        regs[di + l] = regs[src + l];
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        let src = if regs[ci + l] != 0 { ti } else { fi };
-                        regs[di + l] = regs[src + l];
-                    }
-                }
+                let c = lanes_of(regs, *cond);
+                let (x, y) = (lanes_of(regs, *if_true), lanes_of(regs, *if_false));
+                let out = lanes_mut(regs, *dst);
+                each_lane(mask, |l| out[l] = if c[l] != 0 { x[l] } else { y[l] });
                 self.advance(wid, t, scalar, false);
             }
             Inst::Swizzle { dst, src, mode } => {
                 // Read all lanes first (true lane exchange).
-                let di = dst.0 as usize * LANES;
-                let si = src.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                let mut snapshot = [0u32; LANES];
-                snapshot.copy_from_slice(&regs[si..si + LANES]);
-                for l in Self::lanes(mask) {
-                    regs[di + l] = snapshot[mode.source_lane(l)];
-                }
+                let src = lanes_of(regs, *src);
+                let out = lanes_mut(regs, *dst);
+                each_lane(mask, |l| out[l] = src[mode.source_lane(l)]);
                 self.advance(wid, t, false, false); // always a vector op
             }
             Inst::Load { dst, space, addr } => match space {
@@ -1245,23 +1287,12 @@ impl<'a> Machine<'a> {
         let cu = self.waves[wid].cu;
         let lat = self.cfg.lat;
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
+        let addrs = lanes_of(&self.waves[wid].regs, addr);
 
         // Gather distinct lines (coalescing), preserving first-touch order.
-        // The address-register base and the line mask are applied outside
-        // any per-lane recomputation, and the gather buffer is reused
-        // across memory instructions.
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        {
-            let regs = &self.waves[wid].regs;
-            for l in Self::lanes(mask) {
-                let a = regs[abase + l] & line_mask;
-                if !lines.contains(&a) {
-                    lines.push(a);
-                }
-            }
-        }
+        let mut lines = std::mem::take(&mut self.lines);
+        let mut lane_line = [0u8; LANES];
+        coalesce(&addrs, mask, line_mask, &mut lines, &mut lane_line);
 
         let issue;
         if scalar {
@@ -1278,9 +1309,9 @@ impl<'a> Machine<'a> {
         self.counters.l1_transactions += lines.len() as u64;
 
         let mut done = issue + lat.l1_latency;
-        for &line in &lines {
+        for line in &lines {
             self.power.deposit(issue, self.cfg.power.l1_nj);
-            let hit = self.l1[cu].load_word(line).is_some();
+            let hit = self.l1[cu].load_word(line.addr).is_some();
             if let Some(p) = &mut self.profiler {
                 p.on_l1(hit, issue);
             }
@@ -1288,8 +1319,8 @@ impl<'a> Machine<'a> {
                 // L1 miss: consult the (banked) L2, then DRAM bandwidth.
                 self.counters.l2_transactions += 1;
                 self.power.deposit(issue, self.cfg.power.l2_nj);
-                let l2_start = self.l2_banks.reserve(line, issue, lat.l2_issue);
-                let line_done = if self.l2.touch_read(line) {
+                let l2_start = self.l2_banks.reserve(line.addr, issue, lat.l2_issue);
+                let line_done = if self.l2.touch_read(line.addr) {
                     l2_start + lat.l2_latency
                 } else {
                     self.counters.dram_transactions += 1;
@@ -1298,19 +1329,28 @@ impl<'a> Machine<'a> {
                     d_start + lat.dram_latency
                 };
                 done = done.max(line_done);
-                let data = self.mem.read_line(line, self.cfg.line_bytes as usize);
-                self.l1[cu].fill(line, data);
+                let mem = &*self.mem;
+                self.l1[cu].fill(line.addr, |buf| mem.read_line(line.addr, buf));
             }
         }
 
         // Functional: validate bounds via backing store, then take the
-        // (possibly stale) L1 copy as the observed value.
-        let dbase = dst.0 as usize * LANES;
-        for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
-            let coherent = self.mem.load(a, &self.kernel.name)?;
-            let observed = self.l1[cu].peek_word(a).unwrap_or(coherent);
-            self.waves[wid].regs[dbase + l] = observed;
+        // (possibly stale) L1 copy as the observed value. Ways are resolved
+        // after every fill, since a later line's fill can evict an earlier
+        // one of the same instruction.
+        for line in &mut lines {
+            line.way = self.l1[cu].way_of(line.addr);
+            line.extent = self.mem.extent_of(line.addr);
+        }
+        let (mem, l1) = (&*self.mem, &self.l1[cu]);
+        let out = lanes_mut(&mut self.waves[wid].regs, dst);
+        for l in Lanes(mask) {
+            let (a, line) = (addrs[l], lines[lane_line[l] as usize]);
+            let off = mem.word_offset(line.extent, a, &self.kernel.name)?;
+            out[l] = match line.way {
+                Some(way) => l1.word(way, a),
+                None => mem.word_at(off),
+            };
         }
         self.counters.bytes_loaded += 4 * mask.count_ones() as u64;
 
@@ -1328,7 +1368,7 @@ impl<'a> Machine<'a> {
         };
         self.profile_issue(wid, pc, cat, issue, issue + lat.salu_issue);
         self.bump_end(done);
-        self.line_scratch = lines;
+        self.lines = lines;
         Ok(())
     }
 
@@ -1343,19 +1383,12 @@ impl<'a> Machine<'a> {
         let cu = self.waves[wid].cu;
         let lat = self.cfg.lat;
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
+        let addrs = lanes_of(&self.waves[wid].regs, addr);
+        let values = lanes_of(&self.waves[wid].regs, value);
 
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        {
-            let regs = &self.waves[wid].regs;
-            for l in Self::lanes(mask) {
-                let a = regs[abase + l] & line_mask;
-                if !lines.contains(&a) {
-                    lines.push(a);
-                }
-            }
-        }
+        let mut lines = std::mem::take(&mut self.lines);
+        let mut lane_line = [0u8; LANES];
+        coalesce(&addrs, mask, line_mask, &mut lines, &mut lane_line);
 
         // Phase 1 (intra-tick order, point 2): reserve the issue unit.
         let occ = lines.len() as u64 * lat.l1_issue;
@@ -1367,9 +1400,9 @@ impl<'a> Machine<'a> {
 
         // Phase 2 (point 3): write-through — charge L2 bank + DRAM write
         // bandwidth per line, in first-touch order.
-        for &line in &lines {
+        for line in &lines {
             self.power.deposit(issue, self.cfg.power.l2_nj);
-            let l2_start = self.l2_banks.reserve(line, issue, lat.l2_issue);
+            let l2_start = self.l2_banks.reserve(line.addr, issue, lat.l2_issue);
             let d_start = self.dram.reserve(l2_start, lat.dram_issue);
             self.counters.dram_transactions += 1;
             self.power.deposit(d_start, self.cfg.power.dram_nj);
@@ -1396,12 +1429,17 @@ impl<'a> Machine<'a> {
         }
 
         // Functional: write-through to the backing store + own L1 copy.
-        let vbase = value.0 as usize * LANES;
-        for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
-            let v = self.waves[wid].regs[vbase + l];
-            self.mem.store(a, v, &self.kernel.name)?;
-            self.l1[cu].store_word(a, v);
+        // Stores neither fill nor evict, so each line's way holds for the
+        // whole instruction; the L1's stats and LRU stamp advance per lane.
+        for line in &mut lines {
+            line.way = self.l1[cu].way_of(line.addr);
+            line.extent = self.mem.extent_of(line.addr);
+        }
+        for l in Lanes(mask) {
+            let (a, line) = (addrs[l], lines[lane_line[l] as usize]);
+            let off = self.mem.word_offset(line.extent, a, &self.kernel.name)?;
+            self.mem.set_word_at(off, values[l]);
+            self.l1[cu].store_word(line.way, a, values[l]);
         }
         self.counters.bytes_stored += 4 * mask.count_ones() as u64;
 
@@ -1418,7 +1456,7 @@ impl<'a> Machine<'a> {
         // Any remainder up to `ready` is the write-buffer backlog stall.
         self.profile_post(wid, pc, crate::profile::SlotCat::StallWriteBuffer, ready);
         self.bump_end(ready);
-        self.line_scratch = lines;
+        self.lines = lines;
         Ok(())
     }
 
@@ -1447,59 +1485,63 @@ impl<'a> Machine<'a> {
         // Atomics execute at the L2 banks, bypassing (and invalidating)
         // the local L1 lines. Distinct addresses within one line pipeline
         // as a single bank transaction; same-address lanes serialize (RMW
-        // dependency chains).
+        // dependency chains), so a line costs its longest chain: the
+        // longest run of equal addresses once the lanes are sorted.
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
-        let mut line_costs: Vec<(u32, Vec<(u32, u32)>)> = Vec::new(); // line -> [(addr, dup count)]
-        for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
-            let line = a & line_mask;
-            let entry = match line_costs.iter_mut().find(|(ln, _)| *ln == line) {
-                Some(e) => e,
-                None => {
-                    line_costs.push((line, Vec::new()));
-                    line_costs.last_mut().expect("just pushed")
-                }
-            };
-            match entry.1.iter_mut().find(|(ad, _)| *ad == a) {
-                Some(slot) => slot.1 += 1,
-                None => entry.1.push((a, 1)),
+        let regs = &self.waves[wid].regs;
+        let (addrs, values, cmps) = (
+            lanes_of(regs, addr),
+            lanes_of(regs, value),
+            cmp_lanes(regs, op),
+        );
+        let mut lines = std::mem::take(&mut self.lines);
+        let mut lane_line = [0u8; LANES];
+        coalesce(&addrs, mask, line_mask, &mut lines, &mut lane_line);
+        let mut chain = [0u64; LANES]; // per line
+        {
+            let mut order = [0u8; LANES];
+            let mut n = 0;
+            for l in Lanes(mask) {
+                order[n] = l as u8;
+                n += 1;
+            }
+            let order = &mut order[..n];
+            order.sort_unstable_by_key(|&l| addrs[l as usize]);
+            for run in order.chunk_by(|&x, &y| addrs[x as usize] == addrs[y as usize]) {
+                let k = lane_line[run[0] as usize] as usize;
+                chain[k] = chain[k].max(run.len() as u64);
             }
         }
         let mut done_by = issue;
-        for (line, addrs) in &line_costs {
-            let conflict = addrs.iter().map(|&(_, c)| c).max().unwrap_or(1) as u64;
+        for (line, &conflict) in lines.iter().zip(&chain) {
             let start = self
                 .l2_banks
-                .reserve(*line, issue, conflict * lat.atomic_issue);
+                .reserve(line.addr, issue, conflict * lat.atomic_issue);
             done_by = done_by.max(start + conflict * lat.atomic_issue);
             self.counters.l2_transactions += 1;
             self.power.deposit(start, self.cfg.power.atomic_nj);
         }
-        for l in Self::lanes(mask) {
-            let a = self.reg(wid, addr, l);
-            let v = self.reg(wid, value, l);
-            let old = self.mem.load(a, &self.kernel.name)?;
-            let new = match op {
-                AtomicOp::Add => old.wrapping_add(v),
-                AtomicOp::Exchange => v,
-                AtomicOp::CmpXchg { cmp } => {
-                    let c = self.reg(wid, cmp, l);
-                    if old == c {
-                        v
-                    } else {
-                        old
-                    }
-                }
-                AtomicOp::Max => old.max(v),
-                AtomicOp::Min => old.min(v),
-            };
-            self.mem.store(a, new, &self.kernel.name)?;
-            self.l1[cu].invalidate(a);
+
+        // Functional, in lane order. A line is dropped from the L1 at its
+        // first lane; later lanes of the line find nothing to drop.
+        for line in &mut lines {
+            line.way = self.l1[cu].way_of(line.addr);
+            line.extent = self.mem.extent_of(line.addr);
+        }
+        for l in Lanes(mask) {
+            let (a, line) = (addrs[l], &mut lines[lane_line[l] as usize]);
+            let off = self.mem.word_offset(line.extent, a, &self.kernel.name)?;
+            let old = self.mem.word_at(off);
+            self.mem
+                .set_word_at(off, atomic_result(op, old, values[l], cmps[l]));
+            if let Some(way) = line.way.take() {
+                self.l1[cu].invalidate(way);
+            }
             if let Some(d) = dst {
-                self.set_reg(wid, d, l, old);
+                lanes_mut(&mut self.waves[wid].regs, d)[l] = old;
             }
         }
+        self.lines = lines;
 
         let done = done_by + lat.atomic_latency;
         let pc = self.waves[wid].pc;
@@ -1532,46 +1574,14 @@ impl<'a> Machine<'a> {
         let gidx = self.waves[wid].group;
         let lat = self.cfg.lat;
         let lds_bytes = self.kernel.lds_bytes;
-        let abase = addr.0 as usize * LANES;
+        let addrs = lanes_of(&self.waves[wid].regs, addr);
 
-        // Bank-conflict factor: 32 banks, 4-byte words; the 64-lane wave is
-        // served in two 32-lane phases, so conflicts are counted per phase.
-        // Identical addresses within a phase broadcast (no conflict), so
-        // the factor is the per-bank count of *distinct* phase addresses —
-        // computed on stack arrays (a phase holds at most 32 addresses).
-        let mut factor = 1u64;
-        {
-            let regs = &self.waves[wid].regs;
-            let mut phase_addrs = [0u32; 32];
-            for phase in 0..2usize {
-                let pmask = (mask >> (phase * 32)) & 0xFFFF_FFFF;
-                let mut n = 0usize;
-                for l in Self::lanes(pmask) {
-                    let a = regs[abase + phase * 32 + l];
-                    if !a.is_multiple_of(4) {
-                        return Err(SimError::UnalignedAccess { addr: a });
-                    }
-                    if a + 4 > lds_bytes {
-                        return Err(SimError::BadLdsAccess {
-                            offset: a,
-                            lds_bytes,
-                        });
-                    }
-                    if !phase_addrs[..n].contains(&a) {
-                        phase_addrs[n] = a;
-                        n += 1;
-                    }
-                }
-                let mut bank_count = [0u8; 32];
-                let mut phase_factor = 1u64;
-                for &a in &phase_addrs[..n] {
-                    let bank = ((a / 4) % 32) as usize;
-                    bank_count[bank] += 1;
-                    phase_factor = phase_factor.max(u64::from(bank_count[bank]));
-                }
-                factor = factor.max(phase_factor);
-            }
+        // Every lane is validated, in lane order, before anything is
+        // charged; the conflict count then relies on valid addresses.
+        for l in Lanes(mask) {
+            lds_offset(addrs[l], lds_bytes)?;
         }
+        let factor = lds_conflict_factor(&addrs, mask, &mut self.lds_seen);
         self.counters.lds_conflicts += factor - 1;
 
         let occ = lat.lds_issue + (factor - 1) * lat.lds_conflict;
@@ -1582,24 +1592,23 @@ impl<'a> Machine<'a> {
 
         // Functional. The load/store decision is hoisted out of the lane
         // loop, which then runs on direct LDS/register borrows.
+        let regs = &mut self.waves[wid].regs;
         match (dst, value) {
             (Some(d), None) => {
-                let dbase = d.0 as usize * LANES;
                 let lds = &self.groups[gidx].lds;
-                let regs = &mut self.waves[wid].regs;
-                for l in Self::lanes(mask) {
-                    let a = regs[abase + l] as usize;
+                let out = lanes_mut(regs, d);
+                for l in Lanes(mask) {
+                    let a = addrs[l] as usize;
                     let bytes: [u8; 4] = lds[a..a + 4].try_into().expect("4 bytes");
-                    regs[dbase + l] = u32::from_le_bytes(bytes);
+                    out[l] = u32::from_le_bytes(bytes);
                 }
             }
             (None, Some(v)) => {
-                let vbase = v.0 as usize * LANES;
+                let values = lanes_of(regs, v);
                 let lds = &mut self.groups[gidx].lds;
-                let regs = &self.waves[wid].regs;
-                for l in Self::lanes(mask) {
-                    let a = regs[abase + l] as usize;
-                    lds[a..a + 4].copy_from_slice(&regs[vbase + l].to_le_bytes());
+                for l in Lanes(mask) {
+                    let a = addrs[l] as usize;
+                    lds[a..a + 4].copy_from_slice(&values[l].to_le_bytes());
                 }
             }
             _ => unreachable!("LDS op is load xor store"),
@@ -1651,38 +1660,20 @@ impl<'a> Machine<'a> {
         self.counters.lds_insts += 1;
         self.power.deposit(issue, self.cfg.power.lds_nj);
 
-        for l in Self::lanes(mask) {
-            let a = self.reg(wid, addr, l);
-            if !a.is_multiple_of(4) {
-                return Err(SimError::UnalignedAccess { addr: a });
-            }
-            if a + 4 > lds_bytes {
-                return Err(SimError::BadLdsAccess {
-                    offset: a,
-                    lds_bytes,
-                });
-            }
-            let a = a as usize;
-            let old =
-                u32::from_le_bytes(self.groups[gidx].lds[a..a + 4].try_into().expect("4 bytes"));
-            let v = self.reg(wid, value, l);
-            let new = match op {
-                AtomicOp::Add => old.wrapping_add(v),
-                AtomicOp::Exchange => v,
-                AtomicOp::CmpXchg { cmp } => {
-                    let c = self.reg(wid, cmp, l);
-                    if old == c {
-                        v
-                    } else {
-                        old
-                    }
-                }
-                AtomicOp::Max => old.max(v),
-                AtomicOp::Min => old.min(v),
-            };
-            self.groups[gidx].lds[a..a + 4].copy_from_slice(&new.to_le_bytes());
+        let regs = &mut self.waves[wid].regs;
+        let (addrs, values, cmps) = (
+            lanes_of(regs, addr),
+            lanes_of(regs, value),
+            cmp_lanes(regs, op),
+        );
+        let lds = &mut self.groups[gidx].lds;
+        for l in Lanes(mask) {
+            let a = lds_offset(addrs[l], lds_bytes)?;
+            let old = u32::from_le_bytes(lds[a..a + 4].try_into().expect("4 bytes"));
+            let new = atomic_result(op, old, values[l], cmps[l]);
+            lds[a..a + 4].copy_from_slice(&new.to_le_bytes());
             if let Some(d) = dst {
-                self.set_reg(wid, d, l, old);
+                lanes_mut(regs, d)[l] = old;
             }
         }
 
@@ -1701,5 +1692,97 @@ impl<'a> Machine<'a> {
         self.profile_post(wid, pc, crate::profile::SlotCat::StallLdsConflict, done);
         self.bump_end(done);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The definition, quadratically: per phase, the distinct active
+    /// addresses, then the deepest bank among them.
+    fn naive_factor(addrs: &[u32; LANES], mask: u64) -> u64 {
+        let mut factor = 1;
+        for phase in 0..2 {
+            let mut distinct: Vec<u32> = Vec::new();
+            for (l, &a) in addrs.iter().enumerate().skip(phase * 32).take(32) {
+                if mask >> l & 1 == 1 && !distinct.contains(&a) {
+                    distinct.push(a);
+                }
+            }
+            for bank in 0..32 {
+                let depth = distinct.iter().filter(|&&a| (a / 4) % 32 == bank).count();
+                factor = factor.max(depth as u64);
+            }
+        }
+        factor
+    }
+
+    fn check(addrs: [u32; LANES], mask: u64, what: &str) {
+        let mut seen = vec![0u64; (64 * 1024 / 4) / 64];
+        let got = lds_conflict_factor(&addrs, mask, &mut seen);
+        assert_eq!(got, naive_factor(&addrs, mask), "{what}, mask {mask:#x}");
+        assert!(seen.iter().all(|&w| w == 0), "{what}: scratch left dirty");
+    }
+
+    #[test]
+    fn lds_conflict_factor_matches_the_quadratic_definition() {
+        let masks = [
+            u64::MAX,
+            0xFFFF_FFFF,
+            0xFFFF_FFFF_0000_0000,
+            0x8000_0001_8000_0001,
+            0x5555_5555_5555_5555,
+            1 << 40,
+            0,
+        ];
+        type Pattern = (&'static str, fn(usize) -> u32);
+        let patterns: [Pattern; 6] = [
+            ("broadcast", |_| 256),
+            ("stride-1-word", |l| 4 * l as u32),
+            ("stride-32-words", |l| 128 * l as u32),
+            ("all-one-bank", |l| 128 * (l % 8) as u32 + 12),
+            ("mixed duplicates", |l| 4 * ((l * l) % 37) as u32),
+            ("phase-split", |l| if l < 32 { 8 } else { 128 * l as u32 }),
+        ];
+        for (what, f) in patterns {
+            let addrs: [u32; LANES] = std::array::from_fn(f);
+            for mask in masks {
+                check(addrs, mask, what);
+            }
+        }
+        // Seeded random addresses over a small window, so lanes collide.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..500 {
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let window = [64u64, 512, 16384][(next() % 3) as usize];
+            let addrs: [u32; LANES] = std::array::from_fn(|_| 4 * (next() % window) as u32);
+            let mask = next() | next();
+            check(addrs, mask, "random");
+            check(addrs, u64::MAX, "random");
+        }
+    }
+
+    #[test]
+    fn lds_offset_rejects_without_wrapping() {
+        assert_eq!(lds_offset(12, 16), Ok(12));
+        for a in [16, 0xFFFF_FFFC] {
+            assert_eq!(
+                lds_offset(a, 16),
+                Err(SimError::BadLdsAccess {
+                    offset: a,
+                    lds_bytes: 16
+                })
+            );
+        }
+        assert_eq!(
+            lds_offset(0xFFFF_FFFE, 16),
+            Err(SimError::UnalignedAccess { addr: 0xFFFF_FFFE })
+        );
     }
 }

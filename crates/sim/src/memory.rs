@@ -34,6 +34,13 @@ const ARENA_BASE: u32 = 0x1000;
 /// Buffer alignment in bytes (also ≥ cache line size).
 const ALIGN: u32 = 256;
 
+/// The declared byte range `[base, end)` of one buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    base: u32,
+    end: u64,
+}
+
 /// Global device memory.
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
@@ -77,17 +84,39 @@ impl GlobalMemory {
         self.ranges.len()
     }
 
-    fn check(&self, addr: u32, kernel: &str) -> Result<usize, SimError> {
+    /// The declared extent of the buffer holding `addr`: the last buffer
+    /// whose base is at or below it. Resolved once per cache line by the
+    /// machine (see [`GlobalMemory::word_offset`]).
+    pub(crate) fn extent_of(&self, addr: u32) -> Option<Extent> {
+        // Ranges are sorted by base.
+        let i = self.ranges.partition_point(|&(b, _)| b <= addr);
+        let (base, size) = *self.ranges.get(i.checked_sub(1)?)?;
+        Some(Extent {
+            base,
+            end: u64::from(base) + u64::from(size),
+        })
+    }
+
+    /// Validates a word access at `addr` and returns its offset into the
+    /// arena. `hint` is an extent resolved earlier for a nearby address
+    /// (the same cache line): when it holds the word, the buffer search is
+    /// skipped; otherwise the full check runs. The result equals the
+    /// check without a hint either way, because buffers never overlap.
+    ///
+    /// The end comparison is done in 64 bits, so an address within 4 bytes
+    /// of `u32::MAX` is reported as out of bounds instead of wrapping.
+    pub(crate) fn word_offset(
+        &self,
+        hint: Option<Extent>,
+        addr: u32,
+        kernel: &str,
+    ) -> Result<usize, SimError> {
         if !addr.is_multiple_of(4) {
             return Err(SimError::UnalignedAccess { addr });
         }
-        // Find the buffer containing addr: ranges are sorted by base.
-        let i = self.ranges.partition_point(|&(b, _)| b <= addr);
-        if i > 0 {
-            let (base, size) = self.ranges[i - 1];
-            if addr + 4 <= base + size {
-                return Ok((addr - ARENA_BASE) as usize);
-            }
+        let holds = |e: Extent| e.base <= addr && u64::from(addr) + 4 <= e.end;
+        if hint.is_some_and(holds) || self.extent_of(addr).is_some_and(holds) {
+            return Ok((addr - ARENA_BASE) as usize);
         }
         Err(SimError::BadGlobalAccess {
             addr,
@@ -95,19 +124,15 @@ impl GlobalMemory {
         })
     }
 
-    /// Reads a 32-bit word at a validated byte address.
-    pub fn load(&self, addr: u32, kernel: &str) -> Result<u32, SimError> {
-        let off = self.check(addr, kernel)?;
-        Ok(u32::from_le_bytes(
-            self.data[off..off + 4].try_into().expect("4 bytes"),
-        ))
+    /// The word at an offset returned by [`GlobalMemory::word_offset`].
+    pub(crate) fn word_at(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.data[off..off + 4].try_into().expect("4 bytes"))
     }
 
-    /// Writes a 32-bit word at a validated byte address.
-    pub fn store(&mut self, addr: u32, value: u32, kernel: &str) -> Result<(), SimError> {
-        let off = self.check(addr, kernel)?;
+    /// Overwrites the word at an offset returned by
+    /// [`GlobalMemory::word_offset`].
+    pub(crate) fn set_word_at(&mut self, off: usize, value: u32) {
         self.data[off..off + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
     }
 
     /// Reads raw bytes of buffer `idx` (declared size).
@@ -135,28 +160,24 @@ impl GlobalMemory {
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Reads a cache line's worth of bytes at a line-aligned address.
+    /// Copies the cache line at a line-aligned address into `out`.
     /// Regions outside the arena read as zero (they can only be padding —
     /// word-granular accesses are bounds-checked separately).
-    pub fn read_line(&self, line_addr: u32, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        for (i, b) in out.iter_mut().enumerate() {
-            let addr = line_addr as usize + i;
-            if addr >= ARENA_BASE as usize {
-                let off = addr - ARENA_BASE as usize;
-                if off < self.data.len() {
-                    *b = self.data[off];
-                }
-            }
+    pub(crate) fn read_line(&self, line_addr: u32, out: &mut [u8]) {
+        out.fill(0);
+        let start = (line_addr as usize).saturating_sub(ARENA_BASE as usize);
+        let skip = (ARENA_BASE as usize).saturating_sub(line_addr as usize);
+        if skip < out.len() && start < self.data.len() {
+            let n = (out.len() - skip).min(self.data.len() - start);
+            out[skip..skip + n].copy_from_slice(&self.data[start..start + n]);
         }
-        out
     }
 
     /// Flips one bit at an absolute byte address, if it maps to a buffer.
     /// Returns `true` when applied (used by the fault injector).
     pub fn flip_bit(&mut self, addr: u32, bit: u8) -> bool {
         let aligned = addr & !3;
-        if let Ok(off) = self.check(aligned, "fault") {
+        if let Ok(off) = self.word_offset(None, aligned, "fault") {
             let byte = off + (addr % 4) as usize;
             self.data[byte] ^= 1 << (bit % 8);
             true
@@ -176,6 +197,16 @@ impl Default for GlobalMemory {
 mod tests {
     use super::*;
 
+    fn load(m: &GlobalMemory, addr: u32) -> Result<u32, SimError> {
+        Ok(m.word_at(m.word_offset(None, addr, "k")?))
+    }
+
+    fn store(m: &mut GlobalMemory, addr: u32, value: u32) -> Result<(), SimError> {
+        let off = m.word_offset(None, addr, "k")?;
+        m.set_word_at(off, value);
+        Ok(())
+    }
+
     #[test]
     fn alloc_and_roundtrip() {
         let mut m = GlobalMemory::new();
@@ -185,9 +216,9 @@ mod tests {
         let base_b = m.base(b).unwrap();
         assert!(base_b >= base_a + 16);
         assert_eq!(base_a % ALIGN, 0);
-        m.store(base_a, 0xDEAD_BEEF, "t").unwrap();
-        assert_eq!(m.load(base_a, "t").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(m.load(base_b, "t").unwrap(), 0);
+        store(&mut m, base_a, 0xDEAD_BEEF).unwrap();
+        assert_eq!(load(&m, base_a).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(load(&m, base_b).unwrap(), 0);
     }
 
     #[test]
@@ -195,13 +226,10 @@ mod tests {
         let mut m = GlobalMemory::new();
         let a = m.alloc(8);
         let base = m.base(a).unwrap();
-        assert!(matches!(
-            m.load(0, "k"),
-            Err(SimError::BadGlobalAccess { .. })
-        ));
+        assert!(matches!(load(&m, 0), Err(SimError::BadGlobalAccess { .. })));
         // Last valid word is base+4; base+8 is out of the declared size.
-        assert!(m.load(base + 4, "k").is_ok());
-        assert!(m.load(base + 8, "k").is_err());
+        assert!(load(&m, base + 4).is_ok());
+        assert!(load(&m, base + 8).is_err());
     }
 
     #[test]
@@ -210,7 +238,7 @@ mod tests {
         let a = m.alloc(8);
         let base = m.base(a).unwrap();
         assert_eq!(
-            m.load(base + 1, "k"),
+            load(&m, base + 1),
             Err(SimError::UnalignedAccess { addr: base + 1 })
         );
     }
@@ -231,7 +259,53 @@ mod tests {
         let a = m.alloc(4);
         let base = m.base(a).unwrap();
         assert!(m.flip_bit(base, 0));
-        assert_eq!(m.load(base, "t").unwrap(), 1);
+        assert_eq!(load(&m, base).unwrap(), 1);
         assert!(!m.flip_bit(0x10, 0), "below arena");
+    }
+
+    #[test]
+    fn word_offset_rejects_the_top_of_the_address_space() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc(8);
+        let hint = m.extent_of(m.base(a).unwrap());
+        for addr in [0xFFFF_FFFC, 0xFFFF_FFF8] {
+            for h in [None, hint] {
+                assert!(matches!(
+                    m.word_offset(h, addr, "k"),
+                    Err(SimError::BadGlobalAccess { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn a_hint_never_changes_the_answer() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc(40);
+        let b = m.alloc(300);
+        for hint_addr in [0, m.base(a).unwrap(), m.base(b).unwrap() + 64] {
+            let hint = m.extent_of(hint_addr);
+            for addr in (0x0F00..0x1500).step_by(4) {
+                assert_eq!(
+                    m.word_offset(hint, addr, "k"),
+                    m.word_offset(None, addr, "k"),
+                    "addr {addr:#x} with hint from {hint_addr:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_line_zero_fills_outside_the_arena() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc(8);
+        m.write_buffer(a, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut line = [0xAA; 64];
+        m.read_line(ARENA_BASE - 32, &mut line);
+        assert_eq!(line[..32], [0; 32]);
+        assert_eq!(line[32..40], [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(line[40..], [0; 24]);
+        m.read_line(ARENA_BASE + ALIGN, &mut line); // past the arena
+        assert_eq!(line, [0; 64]);
     }
 }
