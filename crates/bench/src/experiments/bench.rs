@@ -124,28 +124,26 @@ pub fn bench(cfg: &ExpConfig) -> Result<String, String> {
                 dev_cfg.engine = *engine;
                 let mut dev = Device::new(dev_cfg);
                 let plan = b.plan(cfg.scale, &mut dev);
-                let compiled = match &rk {
-                    None => Some(
-                        dev.compile(&b.kernel())
-                            .map_err(|e| format!("{abbrev} {fname}: {e}"))?,
-                    ),
-                    Some(_) => None,
-                };
+                let kernel = rk
+                    .as_ref()
+                    .map_or_else(|| b.kernel(), |rk| rk.kernel.clone());
+                let compiled = dev
+                    .compile(&kernel)
+                    .map_err(|e| format!("{abbrev} {fname}: {e}"))?;
                 let mut launcher = RmtLauncher::new();
                 let mut run_once = |dev: &mut Device| -> Result<u64, String> {
                     let mut n = 0;
                     for pass in &plan.passes {
-                        n += match (&rk, &compiled) {
-                            (Some(rk), _) => {
+                        n += match &rk {
+                            Some(rk) => {
                                 launcher
-                                    .launch(dev, rk, pass)
+                                    .launch_compiled(dev, rk, &compiled, pass)
                                     .map_err(|e| format!("{abbrev} {fname}: {e}"))?
                                     .stats
                             }
-                            (None, Some(c)) => dev
-                                .launch_compiled(c, pass)
+                            None => dev
+                                .launch_compiled(&compiled, pass)
                                 .map_err(|e| format!("{abbrev} {fname}: {e}"))?,
-                            (None, None) => unreachable!(),
                         }
                         .counters
                         .dyn_insts;

@@ -12,7 +12,7 @@ use crate::table::Table;
 use crate::ExpConfig;
 use gcn_sim::{Arg, Device, FaultPlan, FaultTarget, LaunchConfig};
 use rmt_core::campaign::{self, Observed, Outcome};
-use rmt_core::{launch_rmt, transform, TransformOptions};
+use rmt_core::{transform, RmtError, RmtLauncher, TransformOptions};
 use rmt_ir::{Kernel, KernelBuilder, Reg};
 use rmt_kernels::util::Xorshift;
 
@@ -95,8 +95,14 @@ fn run_campaign(
     kernel: &Kernel,
 ) -> Result<Vec<Outcome>, String> {
     let rk = transform(kernel, opts).map_err(|e| e.to_string())?;
-    let run_once = |plan: FaultPlan| -> Result<Observed, String> {
-        let mut dev = Device::new(dev_cfg.clone());
+    // One device serves every run, reset before each; the kernel is
+    // compiled once.
+    let mut dev = Device::new(dev_cfg.clone());
+    let compiled = dev
+        .compile(&rk.kernel)
+        .map_err(|e| RmtError::from(e).to_string())?;
+    let mut run_once = |plan: FaultPlan| -> Result<Observed, String> {
+        dev.reset(dev_cfg);
         let ib = dev.create_buffer((N * 4) as u32);
         let ob = dev.create_buffer((N * 4) as u32);
         dev.write_u32s(ib, &(0..N as u32).map(|i| i * 3 + 7).collect::<Vec<_>>());
@@ -104,7 +110,9 @@ fn run_campaign(
             .arg(Arg::Buffer(ib))
             .arg(Arg::Buffer(ob))
             .faults(plan);
-        let r = launch_rmt(&mut dev, &rk, &cfg).map_err(|e| e.to_string())?;
+        let r = RmtLauncher::new()
+            .launch_compiled(&mut dev, &rk, &compiled, &cfg)
+            .map_err(|e| e.to_string())?;
         Ok(Observed {
             detections: r.detections,
             faults_applied: r.stats.faults_applied,

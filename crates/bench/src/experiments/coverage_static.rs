@@ -17,23 +17,25 @@
 
 use crate::table::Matrix;
 use crate::ExpConfig;
-use gcn_sim::{Device, DeviceConfig, FaultPlan};
+use gcn_sim::{CompiledKernel, Device, DeviceConfig, FaultPlan};
 use rmt_core::campaign::{self, Observed, Outcome, SiteKind, Violation};
 use rmt_core::{coverage as cov, transform, RmtError, RmtKernel, RmtLauncher, TransformOptions};
 use rmt_ir::analysis::{CoverageReport, Protection};
 use rmt_kernels::{Benchmark, Scale};
 
-/// One full (multi-pass) run of a transformed benchmark, faults applied on
-/// the first pass only; `dyn_insts` counts the first pass.
+/// One full (multi-pass) run of a transformed benchmark on `dev` reset to
+/// `dev_cfg`, faults applied on the first pass only; `dyn_insts` counts
+/// the first pass. `compiled` is `rk.kernel` compiled.
 fn run_transformed(
+    dev: &mut Device,
     bench: &dyn Benchmark,
     scale: Scale,
     dev_cfg: &DeviceConfig,
-    rk: &RmtKernel,
+    (rk, compiled): (&RmtKernel, &CompiledKernel),
     faults: FaultPlan,
 ) -> Result<Observed, RmtError> {
-    let mut dev = Device::new(dev_cfg.clone());
-    let plan = bench.plan(scale, &mut dev);
+    dev.reset(dev_cfg);
+    let plan = bench.plan(scale, dev);
     let mut launcher = RmtLauncher::new();
     let mut obs = Observed::default();
     for (i, pass) in plan.passes.iter().enumerate() {
@@ -42,7 +44,7 @@ fn run_transformed(
         } else {
             pass.clone()
         };
-        let run = launcher.launch(&mut dev, rk, &cfg)?;
+        let run = launcher.launch_compiled(dev, rk, compiled, &cfg)?;
         obs.detections += run.detections;
         obs.faults_applied += run.stats.faults_applied;
         if i == 0 {
@@ -66,8 +68,22 @@ pub(super) fn inject(
     report: &CoverageReport,
     ctx: &str,
 ) -> Result<(Vec<Outcome>, Vec<String>), String> {
-    let golden = run_transformed(bench, cfg.scale, &cfg.device, rk, FaultPlan::none())
-        .map_err(|e| format!("{ctx}: fault-free run failed: {e}"))?;
+    // One device serves the golden and every injected run, reset before
+    // each; the kernel is compiled once.
+    let mut dev = Device::new(cfg.device.clone());
+    let program = dev
+        .compile(&rk.kernel)
+        .map_err(|e| format!("{ctx}: fault-free run failed: {}", RmtError::from(e)))?;
+    let program = (rk, &program);
+    let golden = run_transformed(
+        &mut dev,
+        bench,
+        cfg.scale,
+        &cfg.device,
+        program,
+        FaultPlan::none(),
+    )
+    .map_err(|e| format!("{ctx}: fault-free run failed: {e}"))?;
     if golden.detections != 0 {
         return Err(format!(
             "{ctx}: fault-free run reported {} detections",
@@ -93,7 +109,7 @@ pub(super) fn inject(
     let mut outcomes = Vec::new();
     let mut violations = Vec::new();
     for entry in campaign::run(attempts, &golden.bufs, |plan| {
-        run_transformed(bench, cfg.scale, &inj_dev, rk, plan)
+        run_transformed(&mut dev, bench, cfg.scale, &inj_dev, program, plan)
     }) {
         outcomes.push(entry.outcome);
         match campaign::verdict(report, &entry) {

@@ -9,7 +9,7 @@
 use crate::error::RmtError;
 use crate::options::Stage;
 use crate::transform::RmtKernel;
-use gcn_sim::{Arg, BufferId, Device, LaunchConfig, LaunchStats};
+use gcn_sim::{Arg, BufferId, CompiledKernel, Device, LaunchConfig, LaunchStats, SimError};
 
 /// Result of one RMT launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,14 +88,31 @@ impl RmtLauncher {
         rk: &RmtKernel,
         base: &LaunchConfig,
     ) -> Result<RmtRunResult, RmtError> {
-        let (cfg, detect) = self.prepare(dev, rk, base)?;
-        let stats = dev.launch(&rk.kernel, &cfg)?;
-        let detections = dev.read_u32s(detect)[0];
-        Ok(RmtRunResult { stats, detections })
+        let compiled = dev.compile(&rk.kernel)?;
+        self.launch_compiled(dev, rk, &compiled, base)
     }
 
-    /// Like [`RmtLauncher::launch`], with cycle-attributed profiling
-    /// enabled on the transformed launch. Combine the returned
+    /// [`RmtLauncher::launch`] with `rk.kernel` already compiled, so
+    /// repeated launches of one transformed kernel compile it once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RmtLauncher::launch`].
+    pub fn launch_compiled(
+        &mut self,
+        dev: &mut Device,
+        rk: &RmtKernel,
+        compiled: &CompiledKernel,
+        base: &LaunchConfig,
+    ) -> Result<RmtRunResult, RmtError> {
+        let (run, ()) = self.run(dev, rk, base, |dev, cfg| {
+            Ok((dev.launch_compiled(compiled, cfg)?, ()))
+        })?;
+        Ok(run)
+    }
+
+    /// Like [`RmtLauncher::launch_compiled`], with cycle-attributed
+    /// profiling enabled on the transformed launch. Combine the returned
     /// [`gcn_sim::Profile`] with [`crate::profile::split_cycles`] to
     /// decompose the kernel's cycles into original / redundant /
     /// detect-compare / protocol work.
@@ -107,13 +124,28 @@ impl RmtLauncher {
         &mut self,
         dev: &mut Device,
         rk: &RmtKernel,
+        compiled: &CompiledKernel,
         base: &LaunchConfig,
         profile_cfg: gcn_sim::ProfileConfig,
     ) -> Result<(RmtRunResult, gcn_sim::Profile), RmtError> {
+        self.run(dev, rk, base, |dev, cfg| {
+            dev.launch_compiled_profiled(compiled, cfg, profile_cfg)
+        })
+    }
+
+    /// The one launch body: prepares the transformed configuration, runs
+    /// `launch` on it, and reads back the detection count.
+    fn run<T>(
+        &mut self,
+        dev: &mut Device,
+        rk: &RmtKernel,
+        base: &LaunchConfig,
+        launch: impl FnOnce(&mut Device, &LaunchConfig) -> Result<(LaunchStats, T), SimError>,
+    ) -> Result<(RmtRunResult, T), RmtError> {
         let (cfg, detect) = self.prepare(dev, rk, base)?;
-        let (stats, profile) = dev.launch_profiled(&rk.kernel, &cfg, profile_cfg)?;
+        let (stats, extra) = launch(dev, &cfg)?;
         let detections = dev.read_u32s(detect)[0];
-        Ok((RmtRunResult { stats, detections }, profile))
+        Ok((RmtRunResult { stats, detections }, extra))
     }
 
     /// Builds the transformed launch configuration: doubled geometry plus

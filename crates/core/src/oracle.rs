@@ -30,11 +30,14 @@ use std::fmt;
 
 use crate::campaign::{self, Observed, Outcome, SiteKind, Violation};
 use crate::coverage as cov;
+use crate::error::RmtError;
 use crate::launcher::RmtLauncher;
 use crate::options::TransformOptions;
 use crate::transform::{transform, RmtKernel};
 use crate::verify::verify_rmt;
-use gcn_sim::{Arg, BufferId, Device, DeviceConfig, FaultPlan, FaultSampler, LaunchConfig};
+use gcn_sim::{
+    Arg, BufferId, CompiledKernel, Device, DeviceConfig, FaultPlan, FaultSampler, LaunchConfig,
+};
 use rmt_ir::analysis::lint::{lint_kernel, LintAssumptions, LintConfig};
 use rmt_ir::fuzz::{generate, shrink, ArgSpec, FuzzCase, GenConfig};
 use rmt_ir::{validate, ParamKind, Ty};
@@ -207,28 +210,31 @@ fn materialize(dev: &mut Device, case: &FuzzCase) -> (Vec<Arg>, Vec<BufferId>) {
     (args, bufs)
 }
 
-/// Runs the original kernel (`rk` is `None`) or a transformed one,
-/// optionally with faults, on a fresh device.
+/// Runs `compiled` — the original kernel (`rk` is `None`) or the
+/// transformed `rk` — optionally with faults, on `dev` reset to `dev_cfg`,
+/// which is the state a new device would have.
 fn run(
+    dev: &mut Device,
     case: &FuzzCase,
     dev_cfg: &DeviceConfig,
+    compiled: &CompiledKernel,
     rk: Option<&RmtKernel>,
     faults: FaultPlan,
 ) -> Result<Observed, String> {
-    let mut dev = Device::new(dev_cfg.clone());
-    let (args, bufs) = materialize(&mut dev, case);
+    dev.reset(dev_cfg);
+    let (args, bufs) = materialize(dev, case);
     let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize)
         .args(args)
         .faults(faults);
     let (detections, stats) = match rk {
         None => (
             0,
-            dev.launch(&case.kernel, &cfg)
+            dev.launch_compiled(compiled, &cfg)
                 .map_err(|e| format!("original launch failed: {e}"))?,
         ),
         Some(rk) => {
             let run = RmtLauncher::new()
-                .launch(&mut dev, rk, &cfg)
+                .launch_compiled(dev, rk, compiled, &cfg)
                 .map_err(|e| e.to_string())?;
             (run.detections, run.stats)
         }
@@ -249,15 +255,17 @@ fn lint_at(kernel: &rmt_ir::Kernel, local: u32) -> Vec<String> {
         .collect()
 }
 
-/// The sampled injection campaign for one flavor. `fault_free_insts` and
-/// `golden` come from the flavor's own clean run.
+/// The sampled injection campaign for one flavor, run on `dev`.
+/// `fault_free_insts` and `golden` come from the flavor's own clean run.
 #[allow(clippy::too_many_arguments)]
 fn inject(
+    dev: &mut Device,
     case: &FuzzCase,
     cfg: &OracleConfig,
     flavor_index: u64,
     flavor: &'static str,
     rk: &RmtKernel,
+    compiled: &CompiledKernel,
     fault_free_insts: u64,
     golden: &[Vec<u8>],
     rep: &mut OracleReport,
@@ -277,7 +285,8 @@ fn inject(
         (site, target, sampler.trigger(fault_free_insts))
     });
     let inj_dev = campaign::injected_device(&cfg.device, fault_free_insts);
-    for entry in campaign::run(attempts, golden, |plan| run(case, &inj_dev, Some(rk), plan)) {
+    let launch = |plan| run(dev, case, &inj_dev, compiled, Some(rk), plan);
+    for entry in campaign::run(attempts, golden, launch) {
         rep.launches += 1;
         if matches!(
             entry.outcome,
@@ -335,8 +344,14 @@ pub fn check_case_with(
     if !diags.is_empty() {
         return Err(fail(FailureKind::LintDirty, "original", diags.join("; ")));
     }
+    // One device serves every run of the case, reset before each; each
+    // kernel is compiled once.
+    let mut dev = Device::new(cfg.device.clone());
     stage("golden_run", "original");
-    let original = run(case, &cfg.device, None, FaultPlan::none())
+    let original = dev
+        .compile(&case.kernel)
+        .map_err(|e| format!("original launch failed: {e}"))
+        .and_then(|ck| run(&mut dev, case, &cfg.device, &ck, None, FaultPlan::none()))
         .map_err(|m| fail(FailureKind::Sim, "original", m))?;
     let golden = original.bufs;
     rep.launches += 1;
@@ -377,8 +392,18 @@ pub fn check_case_with(
         }
 
         stage("fault_free_run", label);
-        let clean = run(case, &cfg.device, Some(&rk), FaultPlan::none())
-            .map_err(|m| fail(FailureKind::Sim, label, m))?;
+        let compiled = dev
+            .compile(&rk.kernel)
+            .map_err(|e| fail(FailureKind::Sim, label, RmtError::from(e).to_string()))?;
+        let clean = run(
+            &mut dev,
+            case,
+            &cfg.device,
+            &compiled,
+            Some(&rk),
+            FaultPlan::none(),
+        )
+        .map_err(|m| fail(FailureKind::Sim, label, m))?;
         rep.launches += 1;
         let (det, insts, bufs) = (clean.detections, clean.dyn_insts, clean.bufs);
         if det != 0 {
@@ -406,11 +431,13 @@ pub fn check_case_with(
         if cfg.max_injections > 0 {
             stage("campaign", label);
             inject(
+                &mut dev,
                 case,
                 cfg,
                 flavor_index as u64,
                 label,
                 &rk,
+                &compiled,
                 insts.max(original.dyn_insts),
                 &bufs,
                 &mut rep,

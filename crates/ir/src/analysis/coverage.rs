@@ -888,10 +888,9 @@ impl<'a> Engine<'a> {
         let empty = SinkState::default();
         let mut windows = Vec::new();
 
-        let mut regs: Vec<Reg> = spans.keys().copied().collect();
-        regs.sort_unstable();
-        for &reg in &regs {
-            let (s, e) = spans[&reg];
+        for (i, span) in spans.iter().enumerate() {
+            let Some((s, e)) = *span else { continue };
+            let reg = Reg(i as u32);
             let weight = (e - s + 1) as u64;
             let machinery = reg.0 >= self.spec.user_reg_limit;
             let st = self.states.get(&reg).unwrap_or(&empty);
@@ -904,7 +903,7 @@ impl<'a> Engine<'a> {
                 machinery,
                 reason: why,
             });
-            if uniform.contains(&reg) {
+            if uniform.contains(reg) {
                 let (sp, swhy) = if !st.observable() {
                     (Protection::Masked, "no path to any observable sink")
                 } else if self.spec.replication.scalar_replicated() {
@@ -977,7 +976,11 @@ impl<'a> Engine<'a> {
         // is observable.
         for &dst in &self.user_l1_loads {
             let st = self.states.get(&dst).unwrap_or(&empty);
-            let weight = spans.get(&dst).map_or(1, |&(s, e)| (e - s + 1) as u64);
+            let weight = spans
+                .get(dst.0 as usize)
+                .copied()
+                .flatten()
+                .map_or(1, |(s, e)| (e - s + 1) as u64);
             let (p, why) = if st.observable() {
                 (
                     Protection::Vulnerable,

@@ -653,7 +653,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             defs.entry(d).or_default().push(i);
         }
     }
-    let divergent = |r: Reg| !uniform.contains(&r);
+    let divergent = |r: Reg| !uniform.contains(r);
     let slice_for_exit = |site: &ExitSite| -> BTreeSet<usize> {
         let pos = nodes
             .iter()

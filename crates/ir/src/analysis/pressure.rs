@@ -8,12 +8,11 @@
 
 use crate::inst::{Block, Inst, Reg};
 use crate::kernel::Kernel;
-use std::collections::HashMap;
 
-#[derive(Default)]
 struct Linearizer {
-    /// reg -> (first access index, last access index)
-    spans: HashMap<Reg, (usize, usize)>,
+    /// Indexed by register number: (first access index, last access
+    /// index), `None` for a register not accessed yet.
+    spans: Vec<Option<(usize, usize)>>,
     /// (start, end) index ranges of loop regions.
     loops: Vec<(usize, usize)>,
     idx: usize,
@@ -21,20 +20,21 @@ struct Linearizer {
 
 impl Linearizer {
     fn touch(&mut self, r: Reg) {
+        let i = r.0 as usize;
+        if i >= self.spans.len() {
+            self.spans.resize(i + 1, None);
+        }
         let idx = self.idx;
-        self.spans
-            .entry(r)
-            .and_modify(|s| s.1 = idx)
-            .or_insert((idx, idx));
+        let span = &mut self.spans[i];
+        match span {
+            Some(s) => s.1 = idx,
+            None => *span = Some((idx, idx)),
+        }
     }
 
     fn walk_inst(&mut self, inst: &Inst) {
         self.idx += 1;
-        let mut srcs = Vec::new();
-        inst.srcs(&mut srcs);
-        for r in srcs {
-            self.touch(r);
-        }
+        inst.for_each_src(|r| self.touch(r));
         if let Some(d) = inst.dst() {
             self.touch(d);
         }
@@ -63,19 +63,24 @@ impl Linearizer {
     }
 }
 
-/// Per-register live spans in linear program order.
+/// Per-register live spans in linear program order, indexed by register
+/// number (`None` for a register the kernel never names).
 ///
-/// Instructions are numbered depth-first (the same linearization
+/// Instructions are numbered depth-first from 1 (the same linearization
 /// [`register_pressure`] sweeps over); each register maps to the inclusive
 /// `(first access, last access)` index range, already extended across any
 /// loop region the range straddles or inhabits (the value must survive the
 /// back-edge). The span length is the liveness weight the coverage analysis
 /// ([`crate::analysis::coverage`]) uses for vulnerability fractions.
-pub fn live_spans(kernel: &Kernel) -> HashMap<Reg, (usize, usize)> {
-    let mut lin = Linearizer::default();
+pub fn live_spans(kernel: &Kernel) -> Vec<Option<(usize, usize)>> {
+    let mut lin = Linearizer {
+        spans: vec![None; kernel.next_reg as usize],
+        loops: Vec::new(),
+        idx: 0,
+    };
     lin.walk_block(&kernel.body);
     let mut spans = lin.spans;
-    for span in spans.values_mut() {
+    for span in spans.iter_mut().flatten() {
         for &(ls, le) in &lin.loops {
             let overlaps = span.0 <= le && span.1 >= ls;
             if overlaps {
@@ -98,21 +103,20 @@ pub fn live_spans(kernel: &Kernel) -> HashMap<Reg, (usize, usize)> {
 /// conservative across back-edges).
 pub fn register_pressure(kernel: &Kernel) -> u32 {
     let spans = live_spans(kernel);
-    if spans.is_empty() {
+    let Some(last) = spans.iter().flatten().map(|&(_, e)| e).max() else {
         return 0;
+    };
+    // Sweep for max overlap: the live count changes by +1 at a span's
+    // first index and by -1 one past its last.
+    let mut delta = vec![0i32; last + 2];
+    for &(s, e) in spans.iter().flatten() {
+        delta[s] += 1;
+        delta[e + 1] -= 1;
     }
-
-    // Sweep for max overlap.
-    let mut events: Vec<(usize, i32)> = Vec::with_capacity(spans.len() * 2);
-    for (s, e) in spans.into_values() {
-        events.push((s, 1));
-        events.push((e + 1, -1));
-    }
-    events.sort_unstable();
     let mut live = 0i32;
     let mut max = 0i32;
-    for (_, delta) in events {
-        live += delta;
+    for d in delta {
+        live += d;
         max = max.max(live);
     }
     max as u32

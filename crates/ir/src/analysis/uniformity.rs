@@ -27,9 +27,9 @@
 //! scope here is uniform at group scope too, so the taint analysis reuses
 //! [`crate::Builtin::is_wavefront_uniform`]).
 
-use crate::inst::{Inst, Reg};
+use crate::inst::Inst;
 use crate::kernel::Kernel;
-use std::collections::HashSet;
+use crate::regset::RegSet;
 
 /// Monotone taint analysis: the set of registers whose value may differ
 /// across the work-items of one group. Grows until a fixpoint (loops feed
@@ -39,22 +39,16 @@ use std::collections::HashSet;
 /// Sound, with no value reasoning (`lid - lid` counts as divergent) — the
 /// lint passes in [`crate::analysis::lint`] carry the precise symbolic
 /// version of the same rule.
-pub fn group_divergent_regs(kernel: &Kernel) -> HashSet<Reg> {
-    let mut nu: HashSet<Reg> = HashSet::new();
-    loop {
-        let before = nu.len();
-        taint_block(&kernel.body.0, false, &mut nu);
-        if nu.len() == before {
-            return nu;
-        }
-    }
+pub fn group_divergent_regs(kernel: &Kernel) -> RegSet {
+    let mut nu = RegSet::for_kernel(kernel);
+    while taint_block(&kernel.body.0, false, &mut nu) {}
+    nu
 }
 
-fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut HashSet<Reg>) {
+/// One taint pass over `insts`; returns `true` if it tainted a register.
+fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut RegSet) -> bool {
+    let mut grew = false;
     for inst in insts {
-        let mut srcs = Vec::new();
-        inst.srcs(&mut srcs);
-        let src_nu = srcs.iter().any(|r| nu.contains(r));
         let inherently_nu = match inst {
             Inst::ReadBuiltin { builtin, .. } => !builtin.is_wavefront_uniform(),
             // LDS holds per-lane data; global loads from one (uniform)
@@ -67,8 +61,10 @@ fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut HashSet<Reg>) {
             _ => false,
         };
         if let Some(d) = inst.dst() {
+            let mut src_nu = false;
+            inst.for_each_src(|r| src_nu |= nu.contains(r));
             if src_nu || inherently_nu || ctl_divergent {
-                nu.insert(d);
+                grew |= nu.insert(d);
             }
         }
         match inst {
@@ -77,9 +73,9 @@ fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut HashSet<Reg>) {
                 then_blk,
                 else_blk,
             } => {
-                let div = ctl_divergent || nu.contains(cond);
-                taint_block(&then_blk.0, div, nu);
-                taint_block(&else_blk.0, div, nu);
+                let div = ctl_divergent || nu.contains(*cond);
+                grew |= taint_block(&then_blk.0, div, nu);
+                grew |= taint_block(&else_blk.0, div, nu);
             }
             Inst::While {
                 cond,
@@ -90,45 +86,63 @@ fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut HashSet<Reg>) {
                 // block; its divergence taints everything written in the
                 // loop (trip counts differ per lane). The outer fixpoint
                 // re-runs this until stable.
-                let div = ctl_divergent || nu.contains(cond_reg);
-                taint_block(&cond.0, div, nu);
-                taint_block(&body.0, div, nu);
+                let div = ctl_divergent || nu.contains(*cond_reg);
+                grew |= taint_block(&cond.0, div, nu);
+                grew |= taint_block(&body.0, div, nu);
             }
             _ => {}
         }
     }
+    grew
 }
 
-/// `true` if any `Barrier` in the kernel sits under an `if`/`while` whose
-/// condition is group-divergent per [`group_divergent_regs`]. The converse
-/// of [`crate::validate`]'s barrier rules, packaged as a query so other
-/// analyses (the translation validator, the lint pre-filter) can consume
-/// the same fixpoint without re-running full validation.
-pub fn has_divergent_barrier(kernel: &Kernel) -> bool {
-    let nu = group_divergent_regs(kernel);
-    fn walk(insts: &[Inst], divergent: bool, nu: &HashSet<Reg>) -> bool {
+/// Which instructions [`has_divergent_sync`] treats as synchronization
+/// sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncSites {
+    /// `Barrier` only: the sites whose reachability must be group-uniform.
+    Barriers,
+    /// `Barrier` and `Swizzle`: also the lane exchanges, which read a
+    /// partner lane's register and so need their pair enabled together.
+    BarriersAndSwizzles,
+}
+
+/// `true` if any synchronization site of `kernel` sits under an
+/// `if`/`while` whose condition is group-divergent per
+/// [`group_divergent_regs`].
+///
+/// With [`SyncSites::Barriers`] this is the converse of
+/// [`crate::validate`]'s barrier rules, packaged as a query so the
+/// translation validator can consume the same fixpoint without re-running
+/// full validation. With [`SyncSites::BarriersAndSwizzles`] it is the
+/// lint divergence pass's pre-filter: the symbolic guard classification is
+/// strictly stronger than the taint, so when this over-approximation finds
+/// no candidate site the engine cannot report one either.
+pub fn has_divergent_sync(kernel: &Kernel, sites: SyncSites) -> bool {
+    fn walk(insts: &[Inst], divergent: bool, nu: &RegSet, sites: SyncSites) -> bool {
         insts.iter().any(|inst| match inst {
             Inst::Barrier => divergent,
+            Inst::Swizzle { .. } => divergent && sites == SyncSites::BarriersAndSwizzles,
             Inst::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
-                let div = divergent || nu.contains(cond);
-                walk(&then_blk.0, div, nu) || walk(&else_blk.0, div, nu)
+                let div = divergent || nu.contains(*cond);
+                walk(&then_blk.0, div, nu, sites) || walk(&else_blk.0, div, nu, sites)
             }
             Inst::While {
                 cond,
                 cond_reg,
                 body,
             } => {
-                let div = divergent || nu.contains(cond_reg);
-                walk(&cond.0, div, nu) || walk(&body.0, div, nu)
+                let div = divergent || nu.contains(*cond_reg);
+                walk(&cond.0, div, nu, sites) || walk(&body.0, div, nu, sites)
             }
             _ => false,
         })
     }
-    walk(&kernel.body.0, false, &nu)
+    walk(&kernel.body.0, false, &group_divergent_regs(kernel), sites)
 }
 
 /// Computes the set of wavefront-uniform registers.
@@ -137,101 +151,93 @@ pub fn has_divergent_barrier(kernel: &Kernel) -> bool {
 /// the same value in every lane (uniform inputs, no definition under
 /// divergent control flow, no per-lane sources such as IDs, atomics with
 /// results, swizzles, or LDS loads).
-pub fn uniform_regs(kernel: &Kernel) -> HashSet<Reg> {
+pub fn uniform_regs(kernel: &Kernel) -> RegSet {
     // Optimistic fixpoint: start by assuming every defined register is
     // uniform, then strike out registers with non-uniform definitions until
     // stable (needed for loop-carried values).
-    let mut uniform: HashSet<Reg> = HashSet::new();
+    let mut uniform = RegSet::for_kernel(kernel);
     kernel.visit_insts(&mut |i| {
         if let Some(d) = i.dst() {
             uniform.insert(d);
         }
     });
 
-    loop {
+    // Divergence context is threaded through the walk: a definition under
+    // a non-uniform branch/loop condition is itself non-uniform. Returns
+    // `true` if it struck out a register.
+    fn walk(insts: &[Inst], divergent: bool, uniform: &mut RegSet) -> bool {
         let mut changed = false;
-        // Divergence context is threaded through the walk: a definition
-        // under a non-uniform branch/loop condition is itself non-uniform.
-        fn walk(insts: &[Inst], divergent: bool, uniform: &mut HashSet<Reg>, changed: &mut bool) {
-            let mut srcs = Vec::new();
-            for inst in insts {
-                srcs.clear();
-                inst.srcs(&mut srcs);
-                let inputs_uniform = srcs.iter().all(|r| uniform.contains(r));
-                let def_uniform = match inst {
-                    Inst::Const { .. } | Inst::ReadParam { .. } => !divergent,
-                    Inst::ReadBuiltin { builtin, .. } => {
-                        !divergent && builtin.is_wavefront_uniform()
-                    }
-                    Inst::Unary { .. }
-                    | Inst::Binary { .. }
-                    | Inst::Cmp { .. }
-                    | Inst::Select { .. }
-                    | Inst::Mov { .. } => !divergent && inputs_uniform,
-                    // Only globally-addressed loads with uniform addresses
-                    // can be scalarized (the SU has no LDS port).
-                    Inst::Load { space, .. } => {
-                        !divergent && inputs_uniform && *space == crate::inst::MemSpace::Global
-                    }
-                    // Atomics return per-lane old values; swizzles are
-                    // per-lane by construction.
-                    Inst::Atomic { .. } | Inst::Swizzle { .. } => false,
-                    Inst::Store { .. } | Inst::Barrier => true, // no dst
-                    Inst::If { .. } | Inst::While { .. } => true, // no dst
-                };
-                if let Some(d) = inst.dst() {
-                    if !def_uniform && uniform.remove(&d) {
-                        *changed = true;
-                    }
-                }
-                match inst {
-                    Inst::If {
-                        cond,
-                        then_blk,
-                        else_blk,
-                    } => {
-                        let div = divergent || !uniform.contains(cond);
-                        walk(&then_blk.0, div, uniform, changed);
-                        walk(&else_blk.0, div, uniform, changed);
-                    }
-                    Inst::While {
-                        cond,
-                        cond_reg,
-                        body,
-                    } => {
-                        // The loop trip count may differ per lane when the
-                        // condition is non-uniform, making everything
-                        // defined inside divergent.
-                        walk(&cond.0, divergent, uniform, changed);
-                        let div = divergent || !uniform.contains(cond_reg);
-                        // Re-walk the condition under the loop's divergence
-                        // (values computed there also iterate per lane).
-                        walk(&cond.0, div, uniform, changed);
-                        walk(&body.0, div, uniform, changed);
-                    }
-                    _ => {}
+        for inst in insts {
+            if let Some(d) = inst.dst() {
+                let def_uniform = !divergent
+                    && match inst {
+                        Inst::Const { .. } | Inst::ReadParam { .. } => true,
+                        Inst::ReadBuiltin { builtin, .. } => builtin.is_wavefront_uniform(),
+                        Inst::Unary { .. }
+                        | Inst::Binary { .. }
+                        | Inst::Cmp { .. }
+                        | Inst::Select { .. }
+                        | Inst::Mov { .. } => all_srcs_in(inst, uniform),
+                        // Only globally-addressed loads with uniform
+                        // addresses can be scalarized (the SU has no LDS
+                        // port).
+                        Inst::Load { space, .. } => {
+                            *space == crate::inst::MemSpace::Global && all_srcs_in(inst, uniform)
+                        }
+                        // Atomics return per-lane old values; swizzles are
+                        // per-lane by construction.
+                        _ => false,
+                    };
+                if !def_uniform {
+                    changed |= uniform.remove(d);
                 }
             }
+            match inst {
+                Inst::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                } => {
+                    let div = divergent || !uniform.contains(*cond);
+                    changed |= walk(&then_blk.0, div, uniform);
+                    changed |= walk(&else_blk.0, div, uniform);
+                }
+                Inst::While {
+                    cond,
+                    cond_reg,
+                    body,
+                } => {
+                    // The loop trip count may differ per lane when the
+                    // condition is non-uniform, making everything defined
+                    // inside divergent.
+                    changed |= walk(&cond.0, divergent, uniform);
+                    let div = divergent || !uniform.contains(*cond_reg);
+                    // Re-walk the condition under the loop's divergence
+                    // (values computed there also iterate per lane).
+                    changed |= walk(&cond.0, div, uniform);
+                    changed |= walk(&body.0, div, uniform);
+                }
+                _ => {}
+            }
         }
-        walk(&kernel.body.0, false, &mut uniform, &mut changed);
-        if !changed {
-            break;
-        }
+        changed
     }
+    while walk(&kernel.body.0, false, &mut uniform) {}
     uniform
+}
+
+/// `true` if every register `inst` reads is in `set`.
+fn all_srcs_in(inst: &Inst, set: &RegSet) -> bool {
+    let mut all = true;
+    inst.for_each_src(|r| all &= set.contains(r));
+    all
 }
 
 /// `true` if an instruction would be issued to the scalar unit: it defines
 /// a uniform register and all its inputs are uniform.
-pub fn is_scalar_inst(inst: &Inst, uniform: &HashSet<Reg>) -> bool {
-    match inst.dst() {
-        Some(d) => {
-            let mut srcs = Vec::new();
-            inst.srcs(&mut srcs);
-            uniform.contains(&d) && srcs.iter().all(|r| uniform.contains(r))
-        }
-        None => false,
-    }
+pub fn is_scalar_inst(inst: &Inst, uniform: &RegSet) -> bool {
+    inst.dst()
+        .is_some_and(|d| uniform.contains(d) && all_srcs_in(inst, uniform))
 }
 
 #[cfg(test)]
@@ -252,17 +258,17 @@ mod tests {
         b.store_global(a, base);
         let k = b.finish();
         let u = uniform_regs(&k);
-        assert!(!u.contains(&gid));
-        assert!(u.contains(&grp));
-        assert!(u.contains(&n));
-        assert!(u.contains(&base));
-        assert!(!u.contains(&mixed));
+        assert!(!u.contains(gid));
+        assert!(u.contains(grp));
+        assert!(u.contains(n));
+        assert!(u.contains(base));
+        assert!(!u.contains(mixed));
         // The dual taint analysis agrees on every register here.
         let nu = group_divergent_regs(&k);
-        assert!(nu.contains(&gid));
-        assert!(nu.contains(&mixed));
-        assert!(!nu.contains(&grp));
-        assert!(!nu.contains(&base));
+        assert!(nu.contains(gid));
+        assert!(nu.contains(mixed));
+        assert!(!nu.contains(grp));
+        assert!(!nu.contains(base));
     }
 
     #[test]
@@ -277,9 +283,9 @@ mod tests {
         });
         let k = b.finish();
         let u = uniform_regs(&k);
-        assert!(!u.contains(&inner.unwrap()));
-        assert!(u.contains(&zero));
-        assert!(group_divergent_regs(&k).contains(&inner.unwrap()));
+        assert!(!u.contains(inner.unwrap()));
+        assert!(u.contains(zero));
+        assert!(group_divergent_regs(&k).contains(inner.unwrap()));
     }
 
     #[test]
@@ -294,8 +300,8 @@ mod tests {
         });
         let k = b.finish();
         let u = uniform_regs(&k);
-        assert!(u.contains(&inner.unwrap()));
-        assert!(!group_divergent_regs(&k).contains(&inner.unwrap()));
+        assert!(u.contains(inner.unwrap()));
+        assert!(!group_divergent_regs(&k).contains(inner.unwrap()));
     }
 
     #[test]
@@ -317,8 +323,8 @@ mod tests {
         );
         let k = b.finish();
         let u = uniform_regs(&k);
-        assert!(!u.contains(&i), "loop variable with divergent bound");
-        assert!(group_divergent_regs(&k).contains(&i));
+        assert!(!u.contains(i), "loop variable with divergent bound");
+        assert!(group_divergent_regs(&k).contains(i));
     }
 
     #[test]
@@ -356,7 +362,7 @@ mod tests {
         let n = b.const_u32(32);
         let c = b.lt_u32(lid, n);
         b.if_(c, |b| b.barrier());
-        assert!(has_divergent_barrier(&b.finish()));
+        assert!(has_divergent_sync(&b.finish(), SyncSites::Barriers));
 
         let mut b = KernelBuilder::new("ok");
         let grp = b.group_id(0);
@@ -364,6 +370,20 @@ mod tests {
         let c = b.eq_u32(grp, zero);
         b.if_(c, |b| b.barrier());
         b.barrier();
-        assert!(!has_divergent_barrier(&b.finish()));
+        assert!(!has_divergent_sync(&b.finish(), SyncSites::Barriers));
+    }
+
+    #[test]
+    fn swizzles_count_as_sync_sites_only_when_asked() {
+        let mut b = KernelBuilder::new("swz");
+        let lid = b.local_id(0);
+        let n = b.const_u32(32);
+        let c = b.lt_u32(lid, n);
+        b.if_(c, |b| {
+            let _ = b.swizzle(lid, crate::SwizzleMode::SwapPairs);
+        });
+        let k = b.finish();
+        assert!(!has_divergent_sync(&k, SyncSites::Barriers));
+        assert!(has_divergent_sync(&k, SyncSites::BarriersAndSwizzles));
     }
 }

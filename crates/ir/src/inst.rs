@@ -544,18 +544,21 @@ impl Inst {
         }
     }
 
-    /// Appends the source registers read *directly* by this instruction
-    /// (control-flow conditions included, nested block contents excluded).
-    pub fn srcs(&self, out: &mut Vec<Reg>) {
+    /// Calls `f` on each source register read *directly* by this
+    /// instruction, in operand order (control-flow conditions included,
+    /// nested block contents excluded). Allocation-free; this is the one
+    /// definition of an instruction's sources.
+    #[inline]
+    pub fn for_each_src(&self, mut f: impl FnMut(Reg)) {
         match self {
             Inst::Const { .. }
             | Inst::ReadBuiltin { .. }
             | Inst::ReadParam { .. }
             | Inst::Barrier => {}
-            Inst::Unary { a, .. } => out.push(*a),
+            Inst::Unary { a, .. } => f(*a),
             Inst::Binary { a, b, .. } | Inst::Cmp { a, b, .. } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
             Inst::Select {
                 cond,
@@ -563,29 +566,34 @@ impl Inst {
                 if_false,
                 ..
             } => {
-                out.push(*cond);
-                out.push(*if_true);
-                out.push(*if_false);
+                f(*cond);
+                f(*if_true);
+                f(*if_false);
             }
-            Inst::Mov { src, .. } => out.push(*src),
-            Inst::Load { addr, .. } => out.push(*addr),
+            Inst::Mov { src, .. } => f(*src),
+            Inst::Load { addr, .. } => f(*addr),
             Inst::Store { addr, value, .. } => {
-                out.push(*addr);
-                out.push(*value);
+                f(*addr);
+                f(*value);
             }
             Inst::Atomic {
                 op, addr, value, ..
             } => {
-                out.push(*addr);
-                out.push(*value);
+                f(*addr);
+                f(*value);
                 if let AtomicOp::CmpXchg { cmp } = op {
-                    out.push(*cmp);
+                    f(*cmp);
                 }
             }
-            Inst::Swizzle { src, .. } => out.push(*src),
-            Inst::If { cond, .. } => out.push(*cond),
-            Inst::While { cond_reg, .. } => out.push(*cond_reg),
+            Inst::Swizzle { src, .. } => f(*src),
+            Inst::If { cond, .. } => f(*cond),
+            Inst::While { cond_reg, .. } => f(*cond_reg),
         }
+    }
+
+    /// Appends the source registers [`Inst::for_each_src`] visits.
+    pub fn srcs(&self, out: &mut Vec<Reg>) {
+        self.for_each_src(|r| out.push(r));
     }
 
     /// `true` for instructions that access memory (loads, stores, atomics).

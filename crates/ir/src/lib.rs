@@ -62,6 +62,7 @@ mod display;
 pub mod fuzz;
 mod inst;
 mod kernel;
+mod regset;
 mod types;
 mod validate;
 
@@ -71,5 +72,6 @@ pub use inst::{
     AtomicOp, BinOp, Block, Builtin, CmpOp, Dim, Inst, MemSpace, Reg, SwizzleMode, UnOp,
 };
 pub use kernel::{Kernel, Param, ParamKind};
+pub use regset::RegSet;
 pub use types::Ty;
 pub use validate::{validate, ValidateError};

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use rmt_ir::analysis::{instruction_mix, register_pressure, uniform_regs};
-use rmt_ir::{validate, Kernel, KernelBuilder, Reg};
+use rmt_ir::{validate, Kernel, KernelBuilder, Reg, RegSet};
+use std::collections::HashSet;
 
 /// A tiny structured program generator: sequences of ALU steps with
 /// optional nesting in `if`/`while`.
@@ -140,7 +141,32 @@ proptest! {
                 }
             }
         });
-        prop_assert!(!u.contains(&gid.expect("kernel reads gid")));
+        prop_assert!(!u.contains(gid.expect("kernel reads gid")));
+    }
+
+    #[test]
+    fn regset_agrees_with_a_hash_set_model(
+        cap in 0u32..200,
+        ops in proptest::collection::vec((0u8..3, 0u32..300), 0..80),
+    ) {
+        // Registers up to 300 against a capacity below 200: inserts past
+        // the capacity must grow the set, probes past it read as absent.
+        let mut set = RegSet::with_capacity(cap);
+        let mut model: HashSet<Reg> = HashSet::new();
+        for (op, r) in ops {
+            let r = Reg(r);
+            match op {
+                0 => prop_assert_eq!(set.insert(r), model.insert(r)),
+                1 => prop_assert_eq!(set.remove(r), model.remove(&r)),
+                _ => prop_assert_eq!(set.contains(r), model.contains(&r)),
+            }
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+        }
+        let mut want: Vec<Reg> = model.into_iter().collect();
+        want.sort();
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(set.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

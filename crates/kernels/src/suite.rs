@@ -132,11 +132,12 @@ pub fn run_rmt(
     let rk = transform(&bench.kernel(), opts)?;
     let mut dev = Device::new(dev_cfg.clone());
     let plan = bench.plan(scale, &mut dev);
+    let compiled = dev.compile(&rk.kernel)?;
     let mut launcher = RmtLauncher::new();
     let mut agg = AggregateStats::new();
     let mut detections = 0;
     for pass in &plan.passes {
-        let run = launcher.launch(&mut dev, &rk, pass)?;
+        let run = launcher.launch_compiled(&mut dev, &rk, &compiled, pass)?;
         detections += run.detections;
         agg.add(&run.stats);
     }
@@ -202,12 +203,14 @@ pub fn run_rmt_profiled(
     let rk = transform(&bench.kernel(), opts)?;
     let mut dev = Device::new(dev_cfg.clone());
     let plan = bench.plan(scale, &mut dev);
+    let compiled = dev.compile(&rk.kernel)?;
     let mut launcher = RmtLauncher::new();
     let mut agg = AggregateStats::new();
     let mut detections = 0;
     let mut acc: Option<gcn_sim::Profile> = None;
     for pass in &plan.passes {
-        let (run, profile) = launcher.launch_profiled(&mut dev, &rk, pass, pcfg.clone())?;
+        let (run, profile) =
+            launcher.launch_profiled(&mut dev, &rk, &compiled, pass, pcfg.clone())?;
         detections += run.detections;
         agg.add(&run.stats);
         match &mut acc {

@@ -4,7 +4,7 @@ use crate::config::DeviceConfig;
 use crate::error::SimError;
 use crate::flat::{compile, CompiledKernel};
 use crate::launch::{LaunchConfig, LaunchStats};
-use crate::machine::Machine;
+use crate::machine::{Machine, MachineState};
 use crate::memory::GlobalMemory;
 use rmt_ir::Kernel;
 
@@ -17,19 +17,40 @@ pub struct BufferId(pub(crate) usize);
 /// Buffers persist across launches, so multi-kernel algorithms (bitonic
 /// sort passes, Floyd–Warshall iterations) run exactly as they would
 /// against a real device. See the crate-level docs for an example.
+///
+/// The device also keeps the machine state between launches — caches,
+/// register files, LDS buffers — and hands it to each launch reset to what
+/// a new device would give, so a steady-state launch allocates nothing in
+/// proportion to the device. [`Device::reset`] returns the whole device
+/// to its just-created state while keeping those allocations.
 #[derive(Debug)]
 pub struct Device {
     config: DeviceConfig,
     memory: GlobalMemory,
+    /// Boxed so that a `Device` stays small to move and to hold by
+    /// value: the state is a few hundred bytes of headers.
+    state: Box<MachineState>,
 }
 
 impl Device {
     /// Creates a device with the given configuration.
     pub fn new(config: DeviceConfig) -> Self {
         Device {
+            state: Box::new(MachineState::new(&config)),
             config,
             memory: GlobalMemory::new(),
         }
+    }
+
+    /// Returns the device to the state `Device::new(config.clone())`
+    /// creates: every buffer is dropped, so the next buffers get the
+    /// addresses a new device would give, and `config` replaces the
+    /// configuration. The memory and machine-state allocations are kept
+    /// for the next launches; caches are rebuilt at the next launch only
+    /// if `config` changes their geometry.
+    pub fn reset(&mut self, config: &DeviceConfig) {
+        self.config.clone_from(config);
+        self.memory.clear();
     }
 
     /// The device configuration.
@@ -124,7 +145,7 @@ impl Device {
         kernel: &CompiledKernel,
         cfg: &LaunchConfig,
     ) -> Result<LaunchStats, SimError> {
-        let machine = Machine::new(&self.config, kernel, &mut self.memory, cfg)?;
+        let machine = Machine::new(&self.config, kernel, &mut self.memory, &mut self.state, cfg)?;
         Ok(machine.run()?.stats)
     }
 
@@ -140,7 +161,13 @@ impl Device {
         trace_cfg: crate::trace::TraceConfig,
     ) -> Result<(LaunchStats, crate::trace::Trace), SimError> {
         let compiled = compile(kernel)?;
-        let mut machine = Machine::new(&self.config, &compiled, &mut self.memory, cfg)?;
+        let mut machine = Machine::new(
+            &self.config,
+            &compiled,
+            &mut self.memory,
+            &mut self.state,
+            cfg,
+        )?;
         machine.set_tracer(trace_cfg);
         let run = machine.run()?;
         Ok((run.stats, run.trace))
@@ -176,7 +203,8 @@ impl Device {
         cfg: &LaunchConfig,
         profile_cfg: crate::profile::ProfileConfig,
     ) -> Result<(LaunchStats, crate::profile::Profile), SimError> {
-        let mut machine = Machine::new(&self.config, kernel, &mut self.memory, cfg)?;
+        let mut machine =
+            Machine::new(&self.config, kernel, &mut self.memory, &mut self.state, cfg)?;
         machine.set_profiler(profile_cfg);
         let run = machine.run()?;
         Ok((run.stats, run.profile.expect("profiler was attached")))

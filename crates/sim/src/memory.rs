@@ -68,6 +68,13 @@ impl GlobalMemory {
         self.ranges.len() - 1
     }
 
+    /// Drops every buffer, keeping the arena's allocation: the next
+    /// buffers get the bases a new memory would give them.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.ranges.clear();
+    }
+
     /// Base byte address of buffer `idx`.
     pub fn base(&self, idx: usize) -> Option<u32> {
         self.ranges.get(idx).map(|r| r.0)
