@@ -14,6 +14,13 @@
 //! * the `uniform_regs` and `group_divergent_regs` sets;
 //! * every register's `live_spans` entry.
 //!
+//! A cell of a kernel as written also holds the `harden` plan at budgets
+//! 0, 50 and 100: every exit site, the selected exits, each candidate
+//! slice's exits, instructions, cost and marginal cost, and the plan's
+//! total and selected cost. A cell of a transformed kernel also holds the
+//! `verify_rmt` verdict and every window of
+//! `rmt_core::coverage::analyze`, one line per window.
+//!
 //! The kernels are every suite kernel, as written and under the seven
 //! postures `compile-suite` runs, and the first generated pool cases as
 //! written.
@@ -24,11 +31,11 @@
 //! UPDATE_GOLDEN=1 cargo test --test compile_facts_golden
 //! ```
 
-use gpu_rmt::ir::analysis::{group_divergent_regs, live_spans, uniform_regs};
+use gpu_rmt::ir::analysis::{group_divergent_regs, harden, live_spans, uniform_regs, HardenConfig};
 use gpu_rmt::ir::fuzz::{child_seed, generate, GenConfig};
 use gpu_rmt::ir::{validate, Kernel, Reg};
 use gpu_rmt::kernels::all;
-use gpu_rmt::rmt::{transform, TransformOptions};
+use gpu_rmt::rmt::{coverage, transform, verify_rmt, RmtKernel, TransformOptions};
 use gpu_rmt::sim::{Device, DeviceConfig};
 use std::fmt::Write as _;
 
@@ -83,8 +90,16 @@ fn ranges(mut regs: Vec<Reg>) -> String {
     out
 }
 
-/// Appends one kernel's cell.
-fn cell(out: &mut String, header: &str, kernel: &Kernel, dev: &Device) {
+/// Comma-joined values of a sorted collection of indices.
+fn list<'a>(xs: impl IntoIterator<Item = &'a usize>) -> String {
+    xs.into_iter()
+        .map(usize::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Appends one kernel's cell; `false` if the kernel does not validate.
+fn cell(out: &mut String, header: &str, kernel: &Kernel, dev: &Device) -> bool {
     let _ = writeln!(out, "== {header}");
     match validate(kernel) {
         Ok(()) => {
@@ -92,7 +107,7 @@ fn cell(out: &mut String, header: &str, kernel: &Kernel, dev: &Device) {
         }
         Err(e) => {
             let _ = writeln!(out, "validate: {e}");
-            return;
+            return false;
         }
     }
     let ck = dev.compile(kernel).expect("a valid kernel compiles");
@@ -117,22 +132,91 @@ fn cell(out: &mut String, header: &str, kernel: &Kernel, dev: &Device) {
         .filter_map(|(r, span)| span.map(|(s, e)| format!("{r}:{s}-{e}")))
         .collect();
     let _ = writeln!(out, "spans: {}", spans.join(" "));
+    true
+}
+
+/// Appends the `harden` plans of a kernel as written.
+fn plan_lines(out: &mut String, kernel: &Kernel) {
+    for budget in [0, 50, 100] {
+        let plan = harden(kernel, &HardenConfig::with_budget(budget));
+        let exits: Vec<String> = plan
+            .exits
+            .iter()
+            .map(|e| {
+                let kind = if e.is_store { 's' } else { 'a' };
+                format!("{}@{}{kind}d{}", e.ordinal, e.idx, e.loop_depth)
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "harden {budget}: exits {} selected {} cost {}/{}",
+            exits.join(" "),
+            list(&plan.selected_exits),
+            plan.selected_cost,
+            plan.total_cost
+        );
+        for s in &plan.slices {
+            let _ = writeln!(
+                out,
+                "  slice exits {} insts {} cost {} marginal {}",
+                list(&s.exits),
+                list(&s.insts),
+                s.cost,
+                s.marginal_cost
+            );
+        }
+    }
+}
+
+/// Appends the `verify_rmt` verdict and coverage windows of a transformed
+/// kernel.
+fn rmt_lines(out: &mut String, original: &Kernel, rk: &RmtKernel) {
+    let errors: Vec<String> = verify_rmt(original, rk)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    if errors.is_empty() {
+        let _ = writeln!(out, "verify: ok");
+    } else {
+        let _ = writeln!(out, "verify: {}", errors.join("; "));
+    }
+    let report = coverage::analyze(rk);
+    let _ = writeln!(out, "windows: {}", report.windows.len());
+    for w in &report.windows {
+        let _ = writeln!(
+            out,
+            "  {} {} {} w{}{} {}",
+            w.reg,
+            w.residency.label(),
+            w.protection.letter(),
+            w.weight,
+            if w.machinery { " m" } else { "" },
+            w.reason
+        );
+    }
 }
 
 /// Every posture of one kernel.
 fn kernel_cells(out: &mut String, name: &str, kernel: &Kernel, dev: &Device) {
     for (label, opts) in postures() {
-        let k = match &opts {
-            None => kernel.clone(),
+        let header = format!("{name} {label}");
+        match &opts {
+            None => {
+                if cell(out, &header, kernel, dev) {
+                    plan_lines(out, kernel);
+                }
+            }
             Some(o) => match transform(kernel, o) {
-                Ok(rk) => rk.kernel,
+                Ok(rk) => {
+                    if cell(out, &header, &rk.kernel, dev) {
+                        rmt_lines(out, kernel, &rk);
+                    }
+                }
                 Err(e) => {
-                    let _ = writeln!(out, "== {name} {label}: transform failed: {e}");
-                    continue;
+                    let _ = writeln!(out, "== {header}: transform failed: {e}");
                 }
             },
-        };
-        cell(out, &format!("{name} {label}"), &k, dev);
+        }
     }
 }
 
@@ -144,7 +228,9 @@ fn snapshot() -> String {
     }
     for i in 0..POOL_CASES {
         let case = generate(child_seed(POOL_SEED, i), &GenConfig::default());
-        cell(&mut out, &format!("pool case {i}"), &case.kernel, &dev);
+        if cell(&mut out, &format!("pool case {i}"), &case.kernel, &dev) {
+            plan_lines(&mut out, &case.kernel);
+        }
     }
     out
 }
