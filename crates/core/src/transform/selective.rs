@@ -17,7 +17,7 @@ use super::{RmtKernel, RmtMeta, SelectiveMeta};
 use crate::error::RmtError;
 use crate::options::TransformOptions;
 use rmt_ir::analysis::harden::{harden, HardenConfig};
-use rmt_ir::{Inst, Kernel, MemSpace, Param, ParamKind};
+use rmt_ir::{Kernel, Param, ParamKind};
 
 pub(super) fn run(
     kernel: &Kernel,
@@ -41,15 +41,7 @@ pub(super) fn run(
             kind: ParamKind::Buffer,
         });
         let detect_param = params.len() - 1;
-        let candidate_stores = kernel.count_insts(|i| {
-            matches!(
-                i,
-                Inst::Store {
-                    space: MemSpace::Global,
-                    ..
-                }
-            )
-        }) as u32;
+        let candidate_stores = plan.exits.iter().filter(|s| s.is_store).count() as u32;
         return Ok(RmtKernel {
             kernel: Kernel {
                 name: format!("{}__rmt_selective_b{budget}", kernel.name),

@@ -34,12 +34,22 @@
 //! 5. **Barrier preservation** — the transform adds exactly the barriers
 //!    its protocol needs (one for the Inter ticket broadcast) and drops
 //!    none of the original ones.
+//! 6. **Selective identity** — a `Selective` kernel whose plan protects no
+//!    exit is the original: the same body and LDS size, plus one appended
+//!    (unused) detect parameter.
+//! 7. **Selective compare count** — a `Selective` kernel compares as many
+//!    global stores as its recorded plan selected.
+//! 8. **Selective per-store protection** — each global store is compared
+//!    exactly when the plan, recomputed from the original kernel and the
+//!    budget, selects its exit (`harden`'s `ExitSite` ordinals name the
+//!    stores, so the right total on the wrong stores fails).
 
 use crate::options::{CommMode, RmtFlavor, Stage};
 use crate::transform::{RmtKernel, RmtTag};
 use rmt_ir::analysis::harden::{harden, HardenConfig};
+use rmt_ir::analysis::Linear;
 use rmt_ir::{AtomicOp, Block, CmpOp, Inst, Kernel, MemSpace, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A violated RMT transform invariant.
@@ -146,9 +156,10 @@ impl fmt::Display for VerifyError {
 }
 
 /// Flow-insensitive register facts, closed over the whole kernel.
-struct Facts {
-    /// Params each register transitively derives from through pure ops.
-    params: HashMap<Reg, HashSet<usize>>,
+struct Facts<'k> {
+    /// The kernel's pre-order table, whose parameter provenance says which
+    /// params each register derives from through pure ops.
+    lin: Linear<'k>,
     /// Registers whose value crossed the communication channel (seeded
     /// from the transform's [`RmtTag::ChannelValue`] provenance when
     /// available, else from every load/swizzle/atomic result; closed over
@@ -160,125 +171,81 @@ struct Facts {
     eq_cmps: HashSet<Reg>,
 }
 
-impl Facts {
+impl Facts<'_> {
     fn derives_from(&self, r: Reg, param: usize) -> bool {
-        self.params.get(&r).is_some_and(|s| s.contains(&param))
+        self.lin.has_param(r, param)
     }
 }
 
-fn compute_facts(kernel: &Kernel, channel_seed: Option<&HashSet<Reg>>) -> Facts {
-    let mut f = Facts {
-        params: HashMap::new(),
-        channel: HashSet::new(),
-        zeros: HashSet::new(),
-        eq_cmps: HashSet::new(),
-    };
-    // Iterate to a fixpoint so loop-carried `Mov` chains converge.
-    loop {
-        let before = (
-            f.params.values().map(HashSet::len).sum::<usize>(),
-            f.channel.len(),
-        );
-        facts_block(&kernel.body, &mut f, channel_seed);
-        let after = (
-            f.params.values().map(HashSet::len).sum::<usize>(),
-            f.channel.len(),
-        );
-        if before == after {
-            return f;
-        }
-    }
-}
-
-fn facts_block(b: &Block, f: &mut Facts, channel_seed: Option<&HashSet<Reg>>) {
-    for inst in b.iter() {
-        match inst {
-            Inst::ReadParam { dst, index } => {
-                f.params.entry(*dst).or_default().insert(*index);
-            }
+fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&HashSet<Reg>>) -> Facts<'k> {
+    let lin = Linear::new(kernel);
+    let mut zeros = HashSet::new();
+    let mut eq_cmps = HashSet::new();
+    for n in &lin.nodes {
+        match *n.inst {
             Inst::Const { dst, bits: 0, .. } => {
-                f.zeros.insert(*dst);
-            }
-            // With a provenance seed, only the transform's recorded
-            // channel values taint; structurally any load/swizzle does.
-            Inst::Load { dst, .. } | Inst::Swizzle { dst, .. }
-                if channel_seed.is_none_or(|s| s.contains(dst)) =>
-            {
-                f.channel.insert(*dst);
-            }
-            Inst::Atomic { dst: Some(d), .. } if channel_seed.is_none_or(|s| s.contains(d)) => {
-                f.channel.insert(*d);
+                zeros.insert(dst);
             }
             Inst::Cmp {
                 dst, op: CmpOp::Eq, ..
             } => {
-                f.eq_cmps.insert(*dst);
-            }
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                facts_block(then_blk, f, channel_seed);
-                facts_block(else_blk, f, channel_seed);
-            }
-            Inst::While { cond, body, .. } => {
-                facts_block(cond, f, channel_seed);
-                facts_block(body, f, channel_seed);
+                eq_cmps.insert(dst);
             }
             _ => {}
         }
-        // Pure value ops propagate both param derivation and channel taint.
-        if matches!(
-            inst,
-            Inst::Unary { .. }
+    }
+    // Iterate to a fixpoint so loop-carried `Mov` chains converge.
+    let mut channel = HashSet::new();
+    loop {
+        let before = channel.len();
+        for n in &lin.nodes {
+            let tainted = match *n.inst {
+                // With a provenance seed, only the transform's recorded
+                // channel values taint; structurally any load/swizzle does.
+                Inst::Load { dst, .. }
+                | Inst::Swizzle { dst, .. }
+                | Inst::Atomic { dst: Some(dst), .. } => {
+                    channel_seed.is_none_or(|s| s.contains(&dst))
+                }
+                // Pure value ops propagate the taint.
+                Inst::Unary { .. }
                 | Inst::Binary { .. }
                 | Inst::Cmp { .. }
                 | Inst::Select { .. }
-                | Inst::Mov { .. }
-        ) {
-            let mut srcs = Vec::new();
-            inst.srcs(&mut srcs);
-            let dst = inst.dst().expect("pure ops have a destination");
-            let mut union: HashSet<usize> = HashSet::new();
-            for s in &srcs {
-                if let Some(ps) = f.params.get(s) {
-                    union.extend(ps.iter().copied());
-                }
-            }
-            if !union.is_empty() {
-                f.params.entry(dst).or_default().extend(union);
-            }
-            if srcs.iter().any(|s| f.channel.contains(s)) {
-                f.channel.insert(dst);
+                | Inst::Mov { .. } => lin.srcs(n).iter().any(|s| channel.contains(s)),
+                _ => false,
+            };
+            if tainted {
+                channel.insert(n.inst.dst().expect("only defs are tainted"));
             }
         }
+        if channel.len() == before {
+            break;
+        }
+    }
+    Facts {
+        lin,
+        channel,
+        zeros,
+        eq_cmps,
     }
 }
 
 /// Does this block (recursively) contain a detect-counter bump?
 fn has_detect_bump(b: &Block, facts: &Facts, detect_param: usize) -> bool {
-    b.iter().any(|inst| match inst {
-        Inst::Atomic {
+    b.count_insts(|inst| {
+        matches!(inst, Inst::Atomic {
             space: MemSpace::Global,
             op: AtomicOp::Add,
             addr,
             ..
-        } => facts.derives_from(*addr, detect_param),
-        Inst::If {
-            then_blk, else_blk, ..
-        } => {
-            has_detect_bump(then_blk, facts, detect_param)
-                || has_detect_bump(else_blk, facts, detect_param)
-        }
-        Inst::While { cond, body, .. } => {
-            has_detect_bump(cond, facts, detect_param) || has_detect_bump(body, facts, detect_param)
-        }
-        _ => false,
-    })
+        } if facts.derives_from(*addr, detect_param))
+    }) > 0
 }
 
 struct Checker<'a> {
     rk: &'a RmtKernel,
-    facts: Facts,
+    facts: Facts<'a>,
     errors: Vec<VerifyError>,
     /// Per-global-store protection observed in pre-order (recorded only
     /// for `Selective` kernels, where unplanned exits legitimately lack a
@@ -534,58 +501,6 @@ impl Checker<'_> {
     }
 }
 
-fn count_barriers(b: &Block) -> usize {
-    b.iter()
-        .map(|i| match i {
-            Inst::Barrier => 1,
-            Inst::If {
-                then_blk, else_blk, ..
-            } => count_barriers(then_blk) + count_barriers(else_blk),
-            Inst::While { cond, body, .. } => count_barriers(cond) + count_barriers(body),
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Per-global-store protection the plan promises, in the same pre-order
-/// the transform assigns exit ordinals (global stores and global atomics
-/// both consume an ordinal; only stores enter the vector).
-fn planned_store_protection(
-    b: &Block,
-    selected: &std::collections::BTreeSet<usize>,
-    ord: &mut usize,
-    out: &mut Vec<bool>,
-) {
-    for inst in b.iter() {
-        match inst {
-            Inst::Store {
-                space: MemSpace::Global,
-                ..
-            } => {
-                out.push(selected.contains(ord));
-                *ord += 1;
-            }
-            Inst::Atomic {
-                space: MemSpace::Global,
-                ..
-            } => {
-                *ord += 1;
-            }
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                planned_store_protection(then_blk, selected, ord, out);
-                planned_store_protection(else_blk, selected, ord, out);
-            }
-            Inst::While { cond, body, .. } => {
-                planned_store_protection(cond, selected, ord, out);
-                planned_store_protection(body, selected, ord, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Does the *original* kernel have any sphere-of-replication exit under
 /// the given flavor?
 fn original_has_sor_exit(original: &Kernel, flavor: RmtFlavor) -> bool {
@@ -612,9 +527,6 @@ fn original_has_sor_exit(original: &Kernel, flavor: RmtFlavor) -> bool {
 /// contract). `original` is the pre-transform kernel, used for the
 /// barrier-preservation and SoR-exit-existence checks.
 pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
-    // Seed channel taint from the transform's own record of which
-    // registers crossed the channel; fall back to the structural
-    // over-approximation for kernels without provenance.
     // Empty-plan Selective kernels promise a strict identity: the original
     // body, the original LDS, one appended (unused) detect parameter.
     if let Some(sel) = rk.meta.selective {
@@ -642,6 +554,9 @@ pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
         }
     }
 
+    // Seed channel taint from the transform's own record of which
+    // registers crossed the channel; fall back to the structural
+    // over-approximation for kernels without provenance.
     let tagged = rk.provenance.regs_with(RmtTag::ChannelValue);
     let facts = compute_facts(&rk.kernel, (!tagged.is_empty()).then_some(&tagged));
     let mut checker = Checker {
@@ -668,8 +583,12 @@ pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
         // exit: a transform that protects the *wrong* store with the
         // *right* total must not pass.
         let plan = harden(original, &HardenConfig::with_budget(sel.budget));
-        let mut want = Vec::new();
-        planned_store_protection(&original.body, &plan.selected_exits, &mut 0, &mut want);
+        let want: Vec<bool> = plan
+            .exits
+            .iter()
+            .filter(|s| s.is_store)
+            .map(|s| plan.selected_exits.contains(&s.ordinal))
+            .collect();
         let got = checker.store_protection.iter().filter(|&&p| p).count() as u32;
         if checker.store_protection.len() != want.len() || got != sel.planned_stores {
             checker.errors.push(VerifyError::SelectiveCompareCount {
@@ -688,9 +607,9 @@ pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
         }
     }
 
-    let want = count_barriers(&original.body)
-        + usize::from(rk.meta.options.flavor == RmtFlavor::Inter && full);
-    let got = count_barriers(&rk.kernel.body);
+    let barriers = |k: &Kernel| k.count_insts(|i| matches!(i, Inst::Barrier));
+    let want = barriers(original) + usize::from(rk.meta.options.flavor == RmtFlavor::Inter && full);
+    let got = barriers(&rk.kernel);
     if got != want {
         checker.errors.push(VerifyError::BarrierCount { got, want });
     }

@@ -31,9 +31,10 @@
 //! `rmt-core` fills a [`CoverageSpec`] from the provenance tags it records
 //! while inserting comparisons and communication code.
 
-use crate::analysis::pressure::live_spans;
+use crate::analysis::linear::{is_pure, Linear};
+use crate::analysis::pressure::spans;
 use crate::analysis::uniformity::uniform_regs;
-use crate::inst::{Block, Builtin, Dim, Inst, MemSpace, Reg};
+use crate::inst::{Builtin, Dim, Inst, MemSpace, Reg};
 use crate::kernel::Kernel;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -381,96 +382,6 @@ fn divergent_builtin(b: Builtin, rep: Replication) -> bool {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeKind {
-    /// Pure data op: Const/Unary/Binary/Cmp/Select/Mov/Swizzle.
-    Data,
-    ReadParam(usize),
-    ReadBuiltin(Builtin),
-    Load {
-        space: MemSpace,
-        addr: Reg,
-        dst: Reg,
-    },
-    Store {
-        space: MemSpace,
-        addr: Reg,
-        value: Reg,
-    },
-    Atomic {
-        space: MemSpace,
-        addr: Reg,
-        has_dst: bool,
-    },
-    IfCond(Reg),
-    WhileCond(Reg),
-    Barrier,
-}
-
-struct Node {
-    idx: usize,
-    dst: Option<Reg>,
-    srcs: Vec<Reg>,
-    kind: NodeKind,
-}
-
-/// Flattens the kernel body into [`Node`]s with the same linear indices the
-/// pressure linearizer assigns (depth-first, one index per instruction).
-fn flatten(block: &Block, idx: &mut usize, out: &mut Vec<Node>) {
-    for inst in block.iter() {
-        *idx += 1;
-        let here = *idx;
-        let mut srcs = Vec::new();
-        inst.srcs(&mut srcs);
-        let kind = match inst {
-            Inst::ReadParam { index, .. } => NodeKind::ReadParam(*index),
-            Inst::ReadBuiltin { builtin, .. } => NodeKind::ReadBuiltin(*builtin),
-            Inst::Load {
-                dst, space, addr, ..
-            } => NodeKind::Load {
-                space: *space,
-                addr: *addr,
-                dst: *dst,
-            },
-            Inst::Store { space, addr, value } => NodeKind::Store {
-                space: *space,
-                addr: *addr,
-                value: *value,
-            },
-            Inst::Atomic {
-                dst, space, addr, ..
-            } => NodeKind::Atomic {
-                space: *space,
-                addr: *addr,
-                has_dst: dst.is_some(),
-            },
-            Inst::If { cond, .. } => NodeKind::IfCond(*cond),
-            Inst::While { cond_reg, .. } => NodeKind::WhileCond(*cond_reg),
-            Inst::Barrier => NodeKind::Barrier,
-            _ => NodeKind::Data,
-        };
-        out.push(Node {
-            idx: here,
-            dst: inst.dst(),
-            srcs,
-            kind,
-        });
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                flatten(then_blk, idx, out);
-                flatten(else_blk, idx, out);
-            }
-            Inst::While { cond, body, .. } => {
-                flatten(cond, idx, out);
-                flatten(body, idx, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Per-register sink facts accumulated by the backward/forward fixpoint.
 #[derive(Debug, Clone, Default)]
 struct SinkState {
@@ -518,12 +429,10 @@ impl SinkState {
     }
 }
 
-struct Engine<'a> {
+struct Engine<'a, 'k> {
     spec: &'a CoverageSpec,
-    nodes: Vec<Node>,
-    max_idx: usize,
-    /// Parameter indices each register may hold (pointer provenance).
-    params: HashMap<Reg, BTreeSet<usize>>,
+    /// The kernel's pre-order table; also its pointer provenance.
+    lin: &'a Linear<'k>,
     states: HashMap<Reg, SinkState>,
     /// (store idx, value reg, machinery) of user LDS stores/atomics.
     user_lds_writes: Vec<(usize, Reg)>,
@@ -533,8 +442,9 @@ struct Engine<'a> {
     user_l1_loads: Vec<Reg>,
     /// dst regs of channel global loads (comm-slot lines).
     channel_l1_loads: Vec<Reg>,
-    /// (idx, operand regs) of compare-protected SoR exit stores/atomics.
-    exit_ops: Vec<(usize, Vec<Reg>)>,
+    /// Indices of the SoR exit stores/atomics whose operands may sit in
+    /// an in-flight store window.
+    exit_ops: Vec<usize>,
     /// dst regs of user (non-comm) local loads — the registers through
     /// which a corrupted LDS word re-enters the dataflow.
     local_load_dsts: Vec<Reg>,
@@ -544,16 +454,11 @@ struct Engine<'a> {
     lds_clean: bool,
 }
 
-impl<'a> Engine<'a> {
-    fn new(kernel: &Kernel, spec: &'a CoverageSpec) -> Self {
-        let mut nodes = Vec::new();
-        let mut idx = 0usize;
-        flatten(&kernel.body, &mut idx, &mut nodes);
+impl<'a, 'k> Engine<'a, 'k> {
+    fn new(lin: &'a Linear<'k>, spec: &'a CoverageSpec) -> Self {
         Engine {
             spec,
-            nodes,
-            max_idx: idx,
-            params: HashMap::new(),
+            lin,
             states: HashMap::new(),
             user_lds_writes: Vec::new(),
             comm_lds_writes: Vec::new(),
@@ -565,56 +470,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Fixpoint pointer provenance: which `ReadParam` indices a register may
-    /// be derived from (through pure data ops).
-    fn compute_params(&mut self) {
-        loop {
-            let mut changed = false;
-            for n in &self.nodes {
-                let add: Option<BTreeSet<usize>> = match n.kind {
-                    NodeKind::ReadParam(i) => Some([i].into_iter().collect()),
-                    NodeKind::Data => {
-                        let mut set = BTreeSet::new();
-                        for s in &n.srcs {
-                            if let Some(ps) = self.params.get(s) {
-                                set.extend(ps.iter().copied());
-                            }
-                        }
-                        if set.is_empty() {
-                            None
-                        } else {
-                            Some(set)
-                        }
-                    }
-                    _ => None,
-                };
-                if let (Some(d), Some(set)) = (n.dst, add) {
-                    let entry = self.params.entry(d).or_default();
-                    for i in set {
-                        changed |= entry.insert(i);
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    fn param_hit(&self, reg: Reg, wanted: &BTreeSet<usize>) -> bool {
-        self.params
-            .get(&reg)
-            .is_some_and(|ps| ps.iter().any(|p| wanted.contains(p)))
-    }
-
     fn is_detect_addr(&self, reg: Reg) -> bool {
         self.spec
             .detect_param
-            .is_some_and(|d| self.params.get(&reg).is_some_and(|ps| ps.contains(&d)))
+            .is_some_and(|d| self.lin.has_param(reg, d))
     }
 
     fn is_comm_addr(&self, reg: Reg) -> bool {
-        self.spec.comm_addr_regs.contains(&reg) || self.param_hit(reg, &self.spec.protocol_params)
+        self.spec.comm_addr_regs.contains(&reg)
+            || self
+                .spec
+                .protocol_params
+                .iter()
+                .any(|&p| self.lin.has_param(reg, p))
     }
 
     fn seed_compare(&mut self, reg: Reg, idx: usize) {
@@ -638,18 +506,12 @@ impl<'a> Engine<'a> {
 
     /// Seeds sink facts from each instruction's effect.
     fn seed(&mut self) {
-        let nodes = std::mem::take(&mut self.nodes);
+        let lin = self.lin;
         let lds_replicated = self.spec.replication.lds_replicated();
-        for n in &nodes {
-            match n.kind {
-                NodeKind::Data => {
-                    if n.dst.is_some_and(|d| self.spec.compare_regs.contains(&d)) {
-                        for &s in &n.srcs {
-                            self.seed_compare(s, n.idx);
-                        }
-                    }
-                }
-                NodeKind::Store { space, addr, value } => {
+        for n in &lin.nodes {
+            let srcs = lin.srcs(n);
+            match *n.inst {
+                Inst::Store { space, addr, value } => {
                     if self.is_comm_addr(addr) {
                         // Publishing a replica value makes it visible to the
                         // partner's comparison: counts as a compare crossing.
@@ -661,7 +523,7 @@ impl<'a> Engine<'a> {
                     } else if space == MemSpace::Global {
                         self.seed_exit(addr, n.idx);
                         self.seed_exit(value, n.idx);
-                        self.exit_ops.push((n.idx, vec![addr, value]));
+                        self.exit_ops.push(n.idx);
                     } else if lds_replicated {
                         // LDS inside the sphere: protection deferred to the
                         // LDS word residency.
@@ -673,43 +535,40 @@ impl<'a> Engine<'a> {
                         self.seed_exit(addr, n.idx);
                         self.seed_exit(value, n.idx);
                         self.user_lds_writes.push((n.idx, value));
-                        self.exit_ops.push((n.idx, vec![addr, value]));
+                        self.exit_ops.push(n.idx);
                     }
                 }
-                NodeKind::Atomic { space, addr, .. } => {
+                Inst::Atomic {
+                    space, addr, value, ..
+                } => {
                     if self.is_detect_addr(addr) {
                         // The detect bump itself is unprotected machinery: a
                         // corrupt counter address writes arbitrary memory.
-                        for &s in &n.srcs {
+                        for &s in srcs {
                             self.seed_exit(s, n.idx);
                         }
                     } else if self.is_comm_addr(addr) {
                         // Ticket acquisition / full-empty polls: protocol
                         // control decisions.
-                        for &s in &n.srcs {
+                        for &s in srcs {
                             self.seed_control(s);
                         }
                     } else if space == MemSpace::Local && lds_replicated {
-                        for &s in &n.srcs {
+                        for &s in srcs {
                             self.seed_lds(s);
                         }
-                        if let Some(&value) = n.srcs.get(1) {
-                            self.user_lds_writes.push((n.idx, value));
-                        }
+                        self.user_lds_writes.push((n.idx, value));
                     } else {
-                        for &s in &n.srcs {
+                        for &s in srcs {
                             self.seed_exit(s, n.idx);
                         }
-                        if space == MemSpace::Global {
-                            self.exit_ops.push((n.idx, n.srcs.clone()));
-                        } else {
-                            self.user_lds_writes
-                                .push((n.idx, *n.srcs.get(1).unwrap_or(&addr)));
-                            self.exit_ops.push((n.idx, n.srcs.clone()));
+                        if space == MemSpace::Local {
+                            self.user_lds_writes.push((n.idx, value));
                         }
+                        self.exit_ops.push(n.idx);
                     }
                 }
-                NodeKind::Load { space, addr, dst } => {
+                Inst::Load { dst, space, addr } => {
                     if space == MemSpace::Global {
                         if self.is_comm_addr(addr) {
                             self.channel_l1_loads.push(dst);
@@ -720,26 +579,33 @@ impl<'a> Engine<'a> {
                         self.local_load_dsts.push(dst);
                     }
                 }
-                NodeKind::IfCond(c) => {
-                    if !self.spec.compare_regs.contains(&c) {
-                        self.seed_control(c);
+                Inst::If { cond, .. } => {
+                    if !self.spec.compare_regs.contains(&cond) {
+                        self.seed_control(cond);
                     }
                 }
-                NodeKind::WhileCond(c) => self.seed_control(c),
-                NodeKind::ReadBuiltin(b) => {
-                    let blessed = n.dst.is_some_and(|d| {
-                        self.spec.id_remaps.contains(&d) || self.spec.comm_addr_regs.contains(&d)
-                    });
-                    if divergent_builtin(b, self.spec.replication) && !blessed {
-                        if let Some(d) = n.dst {
-                            self.states.entry(d).or_default().tainted = true;
+                Inst::While { cond_reg, .. } => self.seed_control(cond_reg),
+                Inst::ReadBuiltin { dst, builtin } => {
+                    let blessed = self.spec.id_remaps.contains(&dst)
+                        || self.spec.comm_addr_regs.contains(&dst);
+                    if divergent_builtin(builtin, self.spec.replication) && !blessed {
+                        self.states.entry(dst).or_default().tainted = true;
+                    }
+                }
+                Inst::ReadParam { .. } | Inst::Barrier => {}
+                // The pure value ops.
+                _ => {
+                    if n.inst
+                        .dst()
+                        .is_some_and(|d| self.spec.compare_regs.contains(&d))
+                    {
+                        for &s in srcs {
+                            self.seed_compare(s, n.idx);
                         }
                     }
                 }
-                NodeKind::ReadParam(_) | NodeKind::Barrier => {}
             }
         }
-        self.nodes = nodes;
     }
 
     /// Backward sink propagation (a corruption of a source corrupts the
@@ -753,28 +619,26 @@ impl<'a> Engine<'a> {
             .chain(self.spec.comm_addr_regs.iter())
             .copied()
             .collect();
+        let lin = self.lin;
         loop {
             let mut changed = false;
-            for n in &self.nodes {
-                let Some(d) = n.dst else { continue };
-                // Backward: data-carrying defs (pure ops, loads, atomic
-                // results — corrupting any input corrupts the result).
-                let carries = matches!(
-                    n.kind,
-                    NodeKind::Data | NodeKind::Load { .. } | NodeKind::Atomic { has_dst: true, .. }
-                );
-                if carries {
+            for n in &lin.nodes {
+                let Some(d) = n.inst.dst() else { continue };
+                let srcs = lin.srcs(n);
+                // Backward: every def with sources carries data (pure ops,
+                // loads, atomic results — corrupting any input corrupts the
+                // result).
+                if !srcs.is_empty() {
                     if let Some(dstate) = self.states.get(&d).cloned() {
-                        for &s in &n.srcs {
+                        for &s in srcs {
                             changed |= self.states.entry(s).or_default().absorb_sinks(&dstate);
                         }
                     }
                 }
                 // Forward: raw-ID taint through pure data ops, stopped by
                 // remap blessings.
-                if matches!(n.kind, NodeKind::Data) && !blessed.contains(&d) {
-                    let src_tainted = n
-                        .srcs
+                if is_pure(n.inst) && !blessed.contains(&d) {
+                    let src_tainted = srcs
                         .iter()
                         .any(|s| self.states.get(s).is_some_and(|st| st.tainted));
                     if src_tainted {
@@ -883,7 +747,7 @@ impl<'a> Engine<'a> {
     }
 
     fn build_report(&self, kernel: &Kernel) -> CoverageReport {
-        let spans = live_spans(kernel);
+        let spans = spans(self.lin, kernel.next_reg as usize);
         let uniform = uniform_regs(kernel);
         let empty = SinkState::default();
         let mut windows = Vec::new();
@@ -928,7 +792,7 @@ impl<'a> Engine<'a> {
         // LDS word residencies: one window per local store/atomic, live from
         // the write to the end of the kernel (conservative: never Masked).
         for &(idx, value) in &self.user_lds_writes {
-            let weight = (self.max_idx.saturating_sub(idx) + 1) as u64;
+            let weight = (self.lin.nodes.len().saturating_sub(idx) + 1) as u64;
             let machinery = value.0 >= self.spec.user_reg_limit;
             let (p, why) = if !self.spec.replication.lds_replicated() {
                 (
@@ -1012,13 +876,13 @@ impl<'a> Engine<'a> {
         // In-flight store windows: operands of compare-protected exits stay
         // vulnerable between the comparison and the memory update.
         if self.spec.full {
-            for (idx, ops) in &self.exit_ops {
-                for &op in ops {
+            for &idx in &self.exit_ops {
+                for &op in self.lin.srcs(self.lin.node(idx)) {
                     let protected = self
                         .states
                         .get(&op)
                         .and_then(|st| st.compare_at)
-                        .is_some_and(|c| c < *idx);
+                        .is_some_and(|c| c < idx);
                     if protected {
                         windows.push(Window {
                             reg: op,
@@ -1040,8 +904,12 @@ impl<'a> Engine<'a> {
 /// Runs the protection-coverage analysis over `kernel` as described by
 /// `spec`, classifying every residency window of every register.
 pub fn coverage(kernel: &Kernel, spec: &CoverageSpec) -> CoverageReport {
-    let mut engine = Engine::new(kernel, spec);
-    engine.compute_params();
+    coverage_of(kernel, &Linear::new(kernel), spec)
+}
+
+/// [`coverage`] over `kernel`'s already built table.
+pub(crate) fn coverage_of(kernel: &Kernel, lin: &Linear, spec: &CoverageSpec) -> CoverageReport {
+    let mut engine = Engine::new(lin, spec);
     engine.seed();
     engine.propagate();
     engine.compute_lds_clean();

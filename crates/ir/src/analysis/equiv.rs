@@ -843,31 +843,6 @@ fn run_walk(arena: &mut Arena, p: WalkParams<'_>) -> WalkOut {
     w.out
 }
 
-/// Ordered-dedup destination registers of a block, descending into
-/// nested control flow (the merge and havoc sets).
-fn block_defs(insts: &[Inst], out: &mut Vec<Reg>, seen: &mut HashSet<Reg>) {
-    for inst in insts {
-        if let Some(d) = inst.dst() {
-            if seen.insert(d) {
-                out.push(d);
-            }
-        }
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                block_defs(&then_blk.0, out, seen);
-                block_defs(&else_blk.0, out, seen);
-            }
-            Inst::While { cond, body, .. } => {
-                block_defs(&cond.0, out, seen);
-                block_defs(&body.0, out, seen);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn atomic_disc(op: &AtomicOp) -> u8 {
     match op {
         AtomicOp::Add => 0,
@@ -1359,8 +1334,9 @@ impl Walker<'_> {
         if any_symbolic {
             let mut defs = Vec::new();
             let mut seen = HashSet::new();
-            block_defs(&then_blk.0, &mut defs, &mut seen);
-            block_defs(&else_blk.0, &mut defs, &mut seen);
+            let mut def = |i: &Inst| defs.extend(i.dst().filter(|&d| seen.insert(d)));
+            then_blk.visit_insts(&mut def);
+            else_blk.visit_insts(&mut def);
             for s in 0..self.sides {
                 if !symbolic[s] {
                     continue;
@@ -1403,8 +1379,9 @@ impl Walker<'_> {
         // the condition and body once.
         let mut defs = Vec::new();
         let mut seen = HashSet::new();
-        block_defs(&cond.0, &mut defs, &mut seen);
-        block_defs(&body.0, &mut defs, &mut seen);
+        let mut def = |i: &Inst| defs.extend(i.dst().filter(|&d| seen.insert(d)));
+        cond.visit_insts(&mut def);
+        body.visit_insts(&mut def);
         for &r in &defs {
             let h = self.arena.atom(Atom::Havoc { ordinal: n, reg: r });
             for (s, &on) in act.iter().enumerate().take(self.sides) {

@@ -12,8 +12,8 @@
 //!
 //! The unit of protection is the **sphere-of-replication exit site**: a
 //! global store or atomic, identified by its depth-first pre-order ordinal
-//! (the same numbering the coverage flattener and the transform's rewriter
-//! use). Protecting an exit means the transform publishes and compares the
+//! (the [`Linear`] table's exit numbering, which the transform's rewriter
+//! shares). Protecting an exit means the transform publishes and compares the
 //! replicas' address/value operands there; a Vulnerable window converts to
 //! Detected exactly when *all* exits it reaches are protected and it feeds
 //! no control decision.
@@ -28,12 +28,14 @@
 //! prefix, plans are deterministic and monotone in the budget: raising the
 //! budget only ever adds exits, never removes them.
 
-use crate::analysis::coverage::{coverage, CoverageSpec, Protection, Replication, Residency};
+use crate::analysis::coverage::{coverage_of, CoverageSpec, Protection, Replication, Residency};
+pub use crate::analysis::linear::ExitSite;
+use crate::analysis::linear::{Linear, Node};
 use crate::analysis::lint::expr::{
     builtin_poly, rem_poly, shr_poly, AtomKind, Atoms, LintAssumptions, Poly, BIG,
 };
 use crate::analysis::uniformity::uniform_regs;
-use crate::inst::{BinOp, Block, Inst, MemSpace, Reg};
+use crate::inst::{BinOp, Inst, MemSpace, Reg};
 use crate::kernel::Kernel;
 use crate::types::Ty;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -66,21 +68,6 @@ impl Default for HardenConfig {
     fn default() -> Self {
         HardenConfig { budget: 100 }
     }
-}
-
-/// One sphere-of-replication exit site of the original kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExitSite {
-    /// Position among exits in depth-first pre-order (the transform
-    /// counts exits in the same order, so ordinals line up).
-    pub ordinal: usize,
-    /// Linear pre-order instruction index (1-based, the numbering
-    /// [`crate::analysis::pressure::live_spans`] uses).
-    pub idx: usize,
-    /// `true` for a global store, `false` for a global atomic.
-    pub is_store: bool,
-    /// Loop-nesting depth of the site.
-    pub loop_depth: u32,
 }
 
 /// A convertible Vulnerable VGPR residency window: the value reaches only
@@ -191,158 +178,6 @@ impl HardenPlan {
     }
 }
 
-/// Per-node kind facts the planner needs beyond `dst`/`srcs`.
-#[derive(Debug, Clone, Copy)]
-enum HKind {
-    /// Anything without memory/control significance for the planner.
-    Plain,
-    /// `Load` from LDS.
-    LocalLoad { dst: Reg },
-    /// `Store`/`Atomic` into LDS.
-    LocalWrite { addr: Reg, value: Reg },
-    /// Global store or atomic: a sphere-of-replication exit.
-    GlobalExit,
-    /// `If`/`While` head: the condition register is a control sink.
-    Cond(Reg),
-}
-
-struct HNode {
-    /// Linear pre-order index (matches coverage/pressure numbering).
-    idx: usize,
-    dst: Option<Reg>,
-    srcs: Vec<Reg>,
-    /// Loop-nesting depth.
-    depth: u32,
-    /// Enclosing structured-control condition registers.
-    conds: Vec<Reg>,
-    /// Exit ordinal if this node is a [`HKind::GlobalExit`].
-    exit: Option<usize>,
-    kind: HKind,
-}
-
-#[derive(Default)]
-struct Walker {
-    idx: usize,
-    nodes: Vec<HNode>,
-    exits: Vec<ExitSite>,
-    builtin_dsts: Vec<Reg>,
-}
-
-impl Walker {
-    fn walk(&mut self, block: &Block, depth: u32, conds: &mut Vec<Reg>) {
-        for inst in block.iter() {
-            self.idx += 1;
-            let here = self.idx;
-            let mut srcs = Vec::new();
-            inst.srcs(&mut srcs);
-            let kind = match inst {
-                Inst::Load {
-                    dst,
-                    space: MemSpace::Local,
-                    ..
-                } => HKind::LocalLoad { dst: *dst },
-                Inst::Store {
-                    space: MemSpace::Local,
-                    addr,
-                    value,
-                } => HKind::LocalWrite {
-                    addr: *addr,
-                    value: *value,
-                },
-                Inst::Atomic {
-                    space: MemSpace::Local,
-                    addr,
-                    value,
-                    ..
-                } => HKind::LocalWrite {
-                    addr: *addr,
-                    value: *value,
-                },
-                Inst::Store {
-                    space: MemSpace::Global,
-                    ..
-                }
-                | Inst::Atomic {
-                    space: MemSpace::Global,
-                    ..
-                } => HKind::GlobalExit,
-                Inst::If { cond, .. } => HKind::Cond(*cond),
-                Inst::While { cond_reg, .. } => HKind::Cond(*cond_reg),
-                Inst::ReadBuiltin { dst, .. } => {
-                    self.builtin_dsts.push(*dst);
-                    HKind::Plain
-                }
-                _ => HKind::Plain,
-            };
-            let exit = if matches!(kind, HKind::GlobalExit) {
-                let ordinal = self.exits.len();
-                self.exits.push(ExitSite {
-                    ordinal,
-                    idx: here,
-                    is_store: matches!(inst, Inst::Store { .. }),
-                    loop_depth: depth,
-                });
-                Some(ordinal)
-            } else {
-                None
-            };
-            self.nodes.push(HNode {
-                idx: here,
-                dst: inst.dst(),
-                srcs,
-                depth,
-                conds: conds.clone(),
-                exit,
-                kind,
-            });
-            match inst {
-                Inst::If {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    conds.push(*cond);
-                    self.walk(then_blk, depth, conds);
-                    self.walk(else_blk, depth, conds);
-                    conds.pop();
-                }
-                Inst::While {
-                    cond,
-                    cond_reg,
-                    body,
-                } => {
-                    conds.push(*cond_reg);
-                    self.walk(cond, depth + 1, conds);
-                    self.walk(body, depth + 1, conds);
-                    conds.pop();
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-fn count_defs(block: &Block, counts: &mut HashMap<Reg, u32>) {
-    for inst in block.iter() {
-        if let Some(d) = inst.dst() {
-            *counts.entry(d).or_insert(0) += 1;
-        }
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                count_defs(then_blk, counts);
-                count_defs(else_blk, counts);
-            }
-            Inst::While { cond, body, .. } => {
-                count_defs(cond, counts);
-                count_defs(body, counts);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Affine value evaluator built from the lint passes' polynomial domain.
 ///
 /// Single-assignment registers get exact polynomials for the address
@@ -351,29 +186,24 @@ fn count_defs(block: &Block, counts: &mut HashMap<Reg, u32>) {
 /// occurrences never cancel in a difference — exactly the conservatism the
 /// may-overlap test needs (an opaque that changes between a store and a
 /// load must not be treated as equal on both sides).
-struct Affine {
+struct Affine<'a, 'k> {
+    lin: &'a Linear<'k>,
     atoms: Atoms,
     asm: LintAssumptions,
     poly: HashMap<Reg, Poly>,
-    multi: HashSet<Reg>,
 }
 
-impl Affine {
-    fn new(kernel: &Kernel) -> Self {
-        let mut counts = HashMap::new();
-        count_defs(&kernel.body, &mut counts);
-        let multi = counts
-            .into_iter()
-            .filter(|&(_, c)| c > 1)
-            .map(|(r, _)| r)
-            .collect();
+impl<'a, 'k> Affine<'a, 'k> {
+    fn new(lin: &'a Linear<'k>) -> Self {
         let mut a = Affine {
+            lin,
             atoms: Atoms::new(),
             asm: LintAssumptions::default(),
             poly: HashMap::new(),
-            multi,
         };
-        a.eval_block(&kernel.body);
+        for n in &lin.nodes {
+            a.eval(n.inst);
+        }
         a
     }
 
@@ -391,7 +221,7 @@ impl Affine {
     }
 
     fn define(&mut self, dst: Reg, p: Poly) {
-        if self.multi.contains(&dst) {
+        if self.lin.def_count(dst) > 1 {
             if !self.poly.contains_key(&dst) {
                 let o = self.opaque();
                 self.poly.insert(dst, o);
@@ -401,71 +231,57 @@ impl Affine {
         }
     }
 
-    fn eval_block(&mut self, block: &Block) {
-        for inst in block.iter() {
-            match inst {
-                Inst::Const { dst, ty, bits } => {
-                    let p = match ty {
-                        Ty::F32 => self.opaque(),
-                        Ty::I32 => Poly::constant((*bits as i32) as i64),
-                        _ => Poly::constant(*bits as i64),
-                    };
-                    self.define(*dst, p);
-                }
-                Inst::Mov { dst, src } => {
-                    let p = self.get(*src);
-                    self.define(*dst, p);
-                }
-                Inst::ReadParam { dst, index } => {
-                    let p = Poly::atom(self.atoms.intern(AtomKind::Param(*index), false, 0, BIG));
-                    self.define(*dst, p);
-                }
-                Inst::ReadBuiltin { dst, builtin } => {
-                    let p = builtin_poly(&mut self.atoms, *builtin, &self.asm);
-                    self.define(*dst, p);
-                }
-                Inst::Binary { dst, op, a, b, .. } => {
-                    let pa = self.get(*a);
-                    let pb = self.get(*b);
-                    let p = match op {
-                        BinOp::Add => pa.add(&pb),
-                        BinOp::Sub => pa.sub(&pb),
-                        BinOp::Mul => pa.mul(&pb).unwrap_or_else(|| self.opaque()),
-                        BinOp::Shl => match pb.as_const() {
-                            Some(k) if (0..=31).contains(&k) => pa.scale(1i64 << k),
-                            _ => self.opaque(),
-                        },
-                        BinOp::Shr => match pb.as_const() {
-                            Some(k) if (0..=31).contains(&k) => {
-                                shr_poly(&mut self.atoms, &pa, k as u8)
-                            }
-                            _ => self.opaque(),
-                        },
-                        BinOp::And => match pb.as_const() {
-                            Some(m) if m >= 0 && (m + 1).count_ones() == 1 => {
-                                rem_poly(&mut self.atoms, &pa, (m + 1).trailing_zeros() as u8)
-                            }
-                            _ => self.opaque(),
-                        },
+    fn eval(&mut self, inst: &Inst) {
+        match inst {
+            Inst::Const { dst, ty, bits } => {
+                let p = match ty {
+                    Ty::F32 => self.opaque(),
+                    Ty::I32 => Poly::constant((*bits as i32) as i64),
+                    _ => Poly::constant(*bits as i64),
+                };
+                self.define(*dst, p);
+            }
+            Inst::Mov { dst, src } => {
+                let p = self.get(*src);
+                self.define(*dst, p);
+            }
+            Inst::ReadParam { dst, index } => {
+                let p = Poly::atom(self.atoms.intern(AtomKind::Param(*index), false, 0, BIG));
+                self.define(*dst, p);
+            }
+            Inst::ReadBuiltin { dst, builtin } => {
+                let p = builtin_poly(&mut self.atoms, *builtin, &self.asm);
+                self.define(*dst, p);
+            }
+            Inst::Binary { dst, op, a, b, .. } => {
+                let pa = self.get(*a);
+                let pb = self.get(*b);
+                let p = match op {
+                    BinOp::Add => pa.add(&pb),
+                    BinOp::Sub => pa.sub(&pb),
+                    BinOp::Mul => pa.mul(&pb).unwrap_or_else(|| self.opaque()),
+                    BinOp::Shl => match pb.as_const() {
+                        Some(k) if (0..=31).contains(&k) => pa.scale(1i64 << k),
                         _ => self.opaque(),
-                    };
-                    self.define(*dst, p);
-                }
-                Inst::If {
-                    then_blk, else_blk, ..
-                } => {
-                    self.eval_block(then_blk);
-                    self.eval_block(else_blk);
-                }
-                Inst::While { cond, body, .. } => {
-                    self.eval_block(cond);
-                    self.eval_block(body);
-                }
-                other => {
-                    if let Some(d) = other.dst() {
-                        let p = self.opaque();
-                        self.define(d, p);
-                    }
+                    },
+                    BinOp::Shr => match pb.as_const() {
+                        Some(k) if (0..=31).contains(&k) => shr_poly(&mut self.atoms, &pa, k as u8),
+                        _ => self.opaque(),
+                    },
+                    BinOp::And => match pb.as_const() {
+                        Some(m) if m >= 0 && (m + 1).count_ones() == 1 => {
+                            rem_poly(&mut self.atoms, &pa, (m + 1).trailing_zeros() as u8)
+                        }
+                        _ => self.opaque(),
+                    },
+                    _ => self.opaque(),
+                };
+                self.define(*dst, p);
+            }
+            other => {
+                if let Some(d) = other.dst() {
+                    let p = self.opaque();
+                    self.define(d, p);
                 }
             }
         }
@@ -523,44 +339,48 @@ fn freq(depth: u32) -> u64 {
 /// whenever `b1 <= b2`.
 pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     let budget = cfg.budget.min(100);
-    let mut walker = Walker::default();
-    let mut conds = Vec::new();
-    walker.walk(&kernel.body, 0, &mut conds);
-    let Walker {
-        nodes,
-        exits,
-        builtin_dsts,
-        ..
-    } = walker;
+    let lin = Linear::new(kernel);
+    let nodes = &lin.nodes;
 
     // Link LDS loads to the stores whose word they may observe, via the
     // affine address domain. Untrackable addresses degrade to lane-varying
     // opaques, which conservatively overlap everything.
-    let mut affine = Affine::new(kernel);
-    let loads: Vec<usize> = nodes
+    let mut affine = Affine::new(&lin);
+    // (position, address, value) of every LDS store and atomic.
+    let writes: Vec<(usize, Reg, Reg)> = nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| matches!(n.kind, HKind::LocalLoad { .. }))
-        .map(|(i, _)| i)
+        .filter_map(|(i, n)| match *n.inst {
+            Inst::Store {
+                space: MemSpace::Local,
+                addr,
+                value,
+            }
+            | Inst::Atomic {
+                space: MemSpace::Local,
+                addr,
+                value,
+                ..
+            } => Some((i, addr, value)),
+            _ => None,
+        })
         .collect();
-    let writes: Vec<usize> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.kind, HKind::LocalWrite { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    // load node position -> writer node positions that may feed it.
-    let mut load_links: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &lp in &loads {
-        let laddr = nodes[lp].srcs[0];
+    // load node position -> the writes that may feed it.
+    let mut load_links: HashMap<usize, Vec<(usize, Reg, Reg)>> = HashMap::new();
+    for (lp, n) in nodes.iter().enumerate() {
+        let Inst::Load {
+            space: MemSpace::Local,
+            addr: laddr,
+            ..
+        } = *n.inst
+        else {
+            continue;
+        };
         let la = affine.get(laddr);
-        for &wp in &writes {
-            let HKind::LocalWrite { addr, .. } = nodes[wp].kind else {
-                continue;
-            };
-            let wa = affine.get(addr);
+        for &w in &writes {
+            let wa = affine.get(w.1);
             if may_overlap(&wa, &la, &affine.atoms) {
-                load_links.entry(lp).or_default().push(wp);
+                load_links.entry(lp).or_default().push(w);
             }
         }
     }
@@ -569,42 +389,36 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     // remapped, every planned exit compared): which exits and control
     // decisions can each register's corruption reach?
     let mut obs: HashMap<Reg, Obs> = HashMap::new();
-    for n in &nodes {
-        match n.kind {
-            HKind::GlobalExit => {
-                let ord = n.exit.expect("exit ordinal");
-                for &s in &n.srcs {
-                    obs.entry(s).or_default().exits.insert(ord);
-                }
-            }
-            HKind::Cond(c) => obs.entry(c).or_default().control = true,
-            _ => {}
+    for site in &lin.exits {
+        for &s in lin.srcs(lin.node(site.idx)) {
+            obs.entry(s).or_default().exits.insert(site.ordinal);
+        }
+    }
+    for n in nodes {
+        if let Inst::If { cond: c, .. } | Inst::While { cond_reg: c, .. } = *n.inst {
+            obs.entry(c).or_default().control = true;
         }
     }
     loop {
         let mut changed = false;
-        for n in &nodes {
-            let Some(d) = n.dst else { continue };
-            if n.srcs.is_empty() {
+        for n in nodes {
+            let Some(d) = n.inst.dst() else { continue };
+            let srcs = lin.srcs(n);
+            if srcs.is_empty() {
                 continue;
             }
             if let Some(od) = obs.get(&d).cloned() {
-                for &s in &n.srcs {
+                for &s in srcs {
                     changed |= absorb(&mut obs, s, &od);
                 }
             }
         }
         for (&lp, wps) in &load_links {
-            let HKind::LocalLoad { dst } = nodes[lp].kind else {
-                continue;
-            };
+            let dst = nodes[lp].inst.dst().expect("a load defines its result");
             let Some(od) = obs.get(&dst).cloned() else {
                 continue;
             };
-            for &wp in wps {
-                let HKind::LocalWrite { addr, value } = nodes[wp].kind else {
-                    continue;
-                };
+            for &(_, addr, value) in wps {
                 changed |= absorb(&mut obs, value, &od);
                 changed |= absorb(&mut obs, addr, &od);
             }
@@ -621,8 +435,14 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     let mut spec = CoverageSpec::new(Replication::PairedLanes {
         lds_duplicated: true,
     });
-    spec.id_remaps = builtin_dsts.iter().copied().collect();
-    let report = coverage(kernel, &spec);
+    spec.id_remaps = nodes
+        .iter()
+        .filter_map(|n| match *n.inst {
+            Inst::ReadBuiltin { dst, .. } => Some(dst),
+            _ => None,
+        })
+        .collect();
+    let report = coverage_of(kernel, &lin, &spec);
     let baseline = report.tallies(Some(Residency::VgprLane), false);
 
     let uniform = uniform_regs(kernel);
@@ -649,20 +469,20 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     // re-evaluated consistently by both replicas).
     let mut defs: HashMap<Reg, Vec<usize>> = HashMap::new();
     for (i, n) in nodes.iter().enumerate() {
-        if let Some(d) = n.dst {
+        if let Some(d) = n.inst.dst() {
             defs.entry(d).or_default().push(i);
         }
     }
-    let divergent = |r: Reg| !uniform.contains(r);
+    let divergent = |r: &Reg| !uniform.contains(*r);
     let slice_for_exit = |site: &ExitSite| -> BTreeSet<usize> {
-        let pos = nodes
-            .iter()
-            .position(|n| n.idx == site.idx)
-            .expect("exit node");
         let mut insts: BTreeSet<usize> = BTreeSet::new();
-        insts.insert(site.idx);
-        let mut work: Vec<Reg> = nodes[pos].srcs.clone();
-        work.extend(nodes[pos].conds.iter().copied().filter(|&c| divergent(c)));
+        let mut work: Vec<Reg> = Vec::new();
+        let visit = |n: &Node, insts: &mut BTreeSet<usize>, work: &mut Vec<Reg>| {
+            insts.insert(n.idx);
+            work.extend_from_slice(lin.srcs(n));
+            work.extend(lin.conds(n).filter(divergent));
+        };
+        visit(lin.node(site.idx), &mut insts, &mut work);
         let mut seen: HashSet<Reg> = HashSet::new();
         while let Some(r) = work.pop() {
             if !seen.insert(r) {
@@ -670,25 +490,27 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             }
             for &dp in defs.get(&r).map(Vec::as_slice).unwrap_or(&[]) {
                 let dn = &nodes[dp];
-                insts.insert(dn.idx);
-                work.extend(dn.srcs.iter().copied());
-                work.extend(dn.conds.iter().copied().filter(|&c| divergent(c)));
-                if matches!(dn.kind, HKind::LocalLoad { .. }) {
-                    for &wp in load_links.get(&dp).map(Vec::as_slice).unwrap_or(&[]) {
-                        let wn = &nodes[wp];
-                        insts.insert(wn.idx);
-                        work.extend(wn.srcs.iter().copied());
-                        work.extend(wn.conds.iter().copied().filter(|&c| divergent(c)));
+                visit(dn, &mut insts, &mut work);
+                if matches!(
+                    dn.inst,
+                    Inst::Load {
+                        space: MemSpace::Local,
+                        ..
+                    }
+                ) {
+                    for &(wp, ..) in load_links.get(&dp).map(Vec::as_slice).unwrap_or(&[]) {
+                        visit(&nodes[wp], &mut insts, &mut work);
                     }
                 }
             }
         }
         insts
     };
+    let exits = &lin.exits;
     let exit_slices: Vec<BTreeSet<usize>> = exits.iter().map(slice_for_exit).collect();
-    let idx_depth: HashMap<usize, u32> = nodes.iter().map(|n| (n.idx, n.depth)).collect();
-    let inst_cost =
-        |insts: &BTreeSet<usize>| -> u64 { insts.iter().map(|i| freq(idx_depth[i])).sum::<u64>() };
+    let inst_cost = |insts: &BTreeSet<usize>| -> u64 {
+        insts.iter().map(|&i| freq(lin.node(i).depth)).sum::<u64>()
+    };
     let exit_cost = |ords: &BTreeSet<usize>| -> u64 {
         ords.iter()
             .map(|&e| COMPARE_COST * freq(exits[e].loop_depth))
@@ -726,7 +548,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             selected: false,
         });
     }
-    for site in &exits {
+    for site in exits {
         if covered_exits.contains(&site.ordinal) {
             continue;
         }
@@ -783,7 +605,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
 
     HardenPlan {
         budget,
-        exits,
+        exits: lin.exits.clone(),
         slices: cands,
         selected_exits,
         total_cost,

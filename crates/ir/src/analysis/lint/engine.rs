@@ -832,8 +832,8 @@ impl<'a> Engine<'a> {
         // can differ between the two sides. Save the defined ones; the
         // undefined-read log names the rest (they were absent on entry).
         let mut defs = Vec::new();
-        collect_defs(then_blk, &mut |r| defs.push(r));
-        collect_defs(else_blk, &mut |r| defs.push(r));
+        then_blk.visit_insts(&mut |i| defs.extend(i.dst()));
+        else_blk.visit_insts(&mut |i| defs.extend(i.dst()));
         defs.sort_unstable();
         defs.dedup();
         let pre: Vec<Option<Poly>> = defs.iter().map(|&r| self.env.get(r).cloned()).collect();
@@ -949,16 +949,13 @@ impl<'a> Engine<'a> {
         // Registers written anywhere in the loop.
         let mut carried: Vec<Reg> = Vec::new();
         let mut seen = HashSet::new();
-        collect_defs(cond, &mut |r| {
-            if seen.insert(r) {
+        let mut carry = |i: &Inst| {
+            if let Some(r) = i.dst().filter(|&r| seen.insert(r)) {
                 carried.push(r);
             }
-        });
-        collect_defs(body, &mut |r| {
-            if seen.insert(r) {
-                carried.push(r);
-            }
-        });
+        };
+        cond.visit_insts(&mut carry);
+        body.visit_insts(&mut carry);
 
         // Numeric pre-analysis: iterate the loop on interval ranges to a
         // fixpoint (with widening), giving each carried register a hull.
@@ -983,7 +980,8 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        let had_barrier = block_has_barrier(cond) || block_has_barrier(body);
+        let is_barrier = |i: &Inst| matches!(i, Inst::Barrier);
+        let had_barrier = cond.count_insts(is_barrier) + body.count_insts(is_barrier) > 0;
         let snapshot = if had_barrier {
             Some(self.open.clone())
         } else {
@@ -1061,7 +1059,7 @@ impl<'a> Engine<'a> {
     /// advancing, as they do on any walk).
     fn scratch<T>(&mut self, cond: &Block, f: impl FnOnce(&mut Self) -> T) -> T {
         let mut defs = Vec::new();
-        collect_defs(cond, &mut |r| defs.push(r));
+        cond.visit_insts(&mut |i| defs.extend(i.dst()));
         defs.sort_unstable();
         defs.dedup();
         let saved: Vec<(Option<Poly>, Option<CmpDef>)> = defs
@@ -1204,45 +1202,6 @@ fn cap_alternatives(mut alts: Vec<Interval>) -> Vec<Interval> {
     alts
 }
 
-/// Collects registers defined anywhere inside a block (recursive).
-fn collect_defs(b: &Block, f: &mut impl FnMut(Reg)) {
-    for inst in b.iter() {
-        if let Some(d) = inst.dst() {
-            f(d);
-        }
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                collect_defs(then_blk, f);
-                collect_defs(else_blk, f);
-            }
-            Inst::While { cond, body, .. } => {
-                collect_defs(cond, f);
-                collect_defs(body, f);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn block_has_barrier(b: &Block) -> bool {
-    let mut found = false;
-    for inst in b.iter() {
-        match inst {
-            Inst::Barrier => found = true,
-            Inst::If {
-                then_blk, else_blk, ..
-            } => found = found || block_has_barrier(then_blk) || block_has_barrier(else_blk),
-            Inst::While { cond, body, .. } => {
-                found = found || block_has_barrier(cond) || block_has_barrier(body)
-            }
-            _ => {}
-        }
-    }
-    found
-}
-
 /// Straight-line constant propagation through one loop iteration
 /// (cond then body). Anything assigned under control flow, from memory,
 /// or from non-constant arithmetic becomes unknown.
@@ -1274,20 +1233,22 @@ fn const_prop_block(b: &Block, env: &mut RegMap<i64>) {
                 then_blk, else_blk, ..
             } => {
                 // Branch-dependent values are not loop-phase constants.
-                collect_defs(then_blk, &mut |r| {
-                    env.set(r, None);
-                });
-                collect_defs(else_blk, &mut |r| {
-                    env.set(r, None);
-                });
+                let mut forget = |i: &Inst| {
+                    if let Some(r) = i.dst() {
+                        env.set(r, None);
+                    }
+                };
+                then_blk.visit_insts(&mut forget);
+                else_blk.visit_insts(&mut forget);
             }
             Inst::While { cond, body, .. } => {
-                collect_defs(cond, &mut |r| {
-                    env.set(r, None);
-                });
-                collect_defs(body, &mut |r| {
-                    env.set(r, None);
-                });
+                let mut forget = |i: &Inst| {
+                    if let Some(r) = i.dst() {
+                        env.set(r, None);
+                    }
+                };
+                cond.visit_insts(&mut forget);
+                body.visit_insts(&mut forget);
             }
             other => {
                 if let Some(d) = other.dst() {

@@ -2,6 +2,10 @@
 //!
 //! These feed the simulator's cost model:
 //!
+//! * [`linear`] — the pre-order table (one node per instruction, numbered
+//!   from 1) the flow-insensitive analyses below share: loop regions,
+//!   enclosing conditions, def counts, global exit sites and parameter
+//!   provenance;
 //! * [`pressure`] — peak virtual-register pressure, the input to the
 //!   occupancy calculation (VGPRs per work-item limit wavefronts per SIMD,
 //!   Section 3.3 of the paper);
@@ -29,6 +33,7 @@
 pub mod coverage;
 pub mod equiv;
 pub mod harden;
+pub mod linear;
 pub mod lint;
 pub mod mix;
 pub mod pressure;
@@ -38,7 +43,8 @@ pub use coverage::{
     coverage, CoverageReport, CoverageSpec, Protection, Replication, Residency, Tallies, Window,
 };
 pub use equiv::{self_check, validate_pair, BuiltinView, Residue, ResidueKind, TvConfig, TvReport};
-pub use harden::{harden, ExitSite, HardenConfig, HardenPlan, PlanWindow, Slice};
+pub use harden::{harden, HardenConfig, HardenPlan, PlanWindow, Slice};
+pub use linear::{ExitSite, Linear};
 pub use lint::{lint_kernel, Diagnostic, LintConfig, LintKind};
 pub use mix::{instruction_mix, InstMix};
 pub use pressure::{live_spans, register_pressure};

@@ -6,82 +6,41 @@
 //! is one of the three overhead components the paper isolates ("doubling
 //! the size of work-groups", Figures 4 and 7).
 
-use crate::inst::{Block, Inst, Reg};
+use crate::analysis::linear::Linear;
 use crate::kernel::Kernel;
-
-struct Linearizer {
-    /// Indexed by register number: (first access index, last access
-    /// index), `None` for a register not accessed yet.
-    spans: Vec<Option<(usize, usize)>>,
-    /// (start, end) index ranges of loop regions.
-    loops: Vec<(usize, usize)>,
-    idx: usize,
-}
-
-impl Linearizer {
-    fn touch(&mut self, r: Reg) {
-        let i = r.0 as usize;
-        if i >= self.spans.len() {
-            self.spans.resize(i + 1, None);
-        }
-        let idx = self.idx;
-        let span = &mut self.spans[i];
-        match span {
-            Some(s) => s.1 = idx,
-            None => *span = Some((idx, idx)),
-        }
-    }
-
-    fn walk_inst(&mut self, inst: &Inst) {
-        self.idx += 1;
-        inst.for_each_src(|r| self.touch(r));
-        if let Some(d) = inst.dst() {
-            self.touch(d);
-        }
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                self.walk_block(then_blk);
-                self.walk_block(else_blk);
-            }
-            Inst::While { cond, body, .. } => {
-                let start = self.idx;
-                self.walk_block(cond);
-                self.walk_block(body);
-                let end = self.idx;
-                self.loops.push((start, end));
-            }
-            _ => {}
-        }
-    }
-
-    fn walk_block(&mut self, b: &Block) {
-        for inst in b.iter() {
-            self.walk_inst(inst);
-        }
-    }
-}
 
 /// Per-register live spans in linear program order, indexed by register
 /// number (`None` for a register the kernel never names).
 ///
-/// Instructions are numbered depth-first from 1 (the same linearization
+/// Instructions are numbered depth-first from 1 (the [`Linear`] numbering
 /// [`register_pressure`] sweeps over); each register maps to the inclusive
 /// `(first access, last access)` index range, already extended across any
 /// loop region the range straddles or inhabits (the value must survive the
 /// back-edge). The span length is the liveness weight the coverage analysis
 /// ([`crate::analysis::coverage`]) uses for vulnerability fractions.
 pub fn live_spans(kernel: &Kernel) -> Vec<Option<(usize, usize)>> {
-    let mut lin = Linearizer {
-        spans: vec![None; kernel.next_reg as usize],
-        loops: Vec::new(),
-        idx: 0,
-    };
-    lin.walk_block(&kernel.body);
-    let mut spans = lin.spans;
+    spans(&Linear::new(kernel), kernel.next_reg as usize)
+}
+
+/// [`live_spans`] over an already built table; `nregs` is the kernel's
+/// register count.
+pub(crate) fn spans(lin: &Linear, nregs: usize) -> Vec<Option<(usize, usize)>> {
+    let mut spans: Vec<Option<(usize, usize)>> = vec![None; nregs];
+    for n in &lin.nodes {
+        for r in lin.srcs(n).iter().copied().chain(n.inst.dst()) {
+            let i = r.0 as usize;
+            if i >= spans.len() {
+                spans.resize(i + 1, None);
+            }
+            match &mut spans[i] {
+                Some(s) => s.1 = n.idx,
+                none => *none = Some((n.idx, n.idx)),
+            }
+        }
+    }
+    let loops: Vec<(usize, usize)> = lin.loops().collect();
     for span in spans.iter_mut().flatten() {
-        for &(ls, le) in &lin.loops {
+        for &(ls, le) in &loops {
             let overlaps = span.0 <= le && span.1 >= ls;
             if overlaps {
                 // Live into, out of, or within the loop: conservatively live

@@ -356,6 +356,33 @@ impl Block {
         self.0.iter()
     }
 
+    /// Visits every instruction (depth-first, program order), immutably.
+    pub fn visit_insts<'a>(&'a self, f: &mut impl FnMut(&'a Inst)) {
+        for inst in &self.0 {
+            f(inst);
+            match inst {
+                Inst::If {
+                    then_blk, else_blk, ..
+                } => {
+                    then_blk.visit_insts(f);
+                    else_blk.visit_insts(f);
+                }
+                Inst::While { cond, body, .. } => {
+                    cond.visit_insts(f);
+                    body.visit_insts(f);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Counts instructions matching a predicate (recursive).
+    pub fn count_insts(&self, mut pred: impl FnMut(&Inst) -> bool) -> usize {
+        let mut n = 0;
+        self.visit_insts(&mut |i| n += usize::from(pred(i)));
+        n
+    }
+
     /// Total instruction count including all nested blocks.
     pub fn total_insts(&self) -> usize {
         self.0

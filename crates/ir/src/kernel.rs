@@ -72,36 +72,12 @@ impl Kernel {
 
     /// Visits every instruction (depth-first, program order), immutably.
     pub fn visit_insts<'a>(&'a self, f: &mut impl FnMut(&'a Inst)) {
-        fn walk<'a>(b: &'a Block, f: &mut impl FnMut(&'a Inst)) {
-            for inst in &b.0 {
-                f(inst);
-                match inst {
-                    Inst::If {
-                        then_blk, else_blk, ..
-                    } => {
-                        walk(then_blk, f);
-                        walk(else_blk, f);
-                    }
-                    Inst::While { cond, body, .. } => {
-                        walk(cond, f);
-                        walk(body, f);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        walk(&self.body, f);
+        self.body.visit_insts(f);
     }
 
     /// Counts instructions matching a predicate (recursive).
-    pub fn count_insts(&self, mut pred: impl FnMut(&Inst) -> bool) -> usize {
-        let mut n = 0;
-        self.visit_insts(&mut |i| {
-            if pred(i) {
-                n += 1;
-            }
-        });
-        n
+    pub fn count_insts(&self, pred: impl FnMut(&Inst) -> bool) -> usize {
+        self.body.count_insts(pred)
     }
 }
 

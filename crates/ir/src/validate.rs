@@ -113,8 +113,13 @@ impl Ctx<'_> {
         // the While's own `cond_reg` is defined inside its condition block —
         // so pre-scan loop contents before checking sources.
         if let Inst::While { cond, body, .. } = inst {
-            collect_defs(cond, &mut self.defined);
-            collect_defs(body, &mut self.defined);
+            let mut define = |i: &Inst| {
+                if let Some(d) = i.dst() {
+                    self.defined.insert(d);
+                }
+            };
+            cond.visit_insts(&mut define);
+            body.visit_insts(&mut define);
         }
         let mut bad_src = None;
         inst.for_each_src(|r| {
@@ -196,27 +201,6 @@ impl Ctx<'_> {
             self.check_inst(inst)?;
         }
         Ok(())
-    }
-}
-
-fn collect_defs(b: &Block, out: &mut RegSet) {
-    for inst in b.iter() {
-        if let Some(d) = inst.dst() {
-            out.insert(d);
-        }
-        match inst {
-            Inst::If {
-                then_blk, else_blk, ..
-            } => {
-                collect_defs(then_blk, out);
-                collect_defs(else_blk, out);
-            }
-            Inst::While { cond, body, .. } => {
-                collect_defs(cond, out);
-                collect_defs(body, out);
-            }
-            _ => {}
-        }
     }
 }
 
