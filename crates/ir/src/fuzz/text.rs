@@ -181,9 +181,9 @@ pub fn parse(text: &str) -> Result<FuzzCase, String> {
         params.push(param);
         args.push(arg);
     }
-    let body_open = p.next_line()?;
-    if body_open != "body {" {
-        return Err(p.err_prev("expected `body {`"));
+    let err = p.err_here("expected `body {`");
+    if p.next_line().map_err(|_| err.clone())? != "body {" {
+        return Err(err);
     }
     let body = p.parse_block()?;
     if p.pos != p.lines.len() {
