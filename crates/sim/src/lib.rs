@@ -89,7 +89,7 @@ pub use counters::PerfCounters;
 pub use device::{BufferId, Device};
 pub use error::SimError;
 pub use fault::{FaultPlan, FaultSampler, FaultTarget, Injection};
-pub use flat::CompiledKernel;
+pub use flat::{CompiledKernel, FlatOp};
 pub use launch::{Arg, LaunchConfig, LaunchStats, Occupancy, OccupancyLimiter};
 pub use power::PowerStats;
 pub use profile::{PcProfile, Profile, ProfileConfig, SlotCat, TimelineSample, NUM_CATS};
