@@ -9,7 +9,7 @@
 use crate::error::RmtError;
 use crate::options::Stage;
 use crate::transform::RmtKernel;
-use gcn_sim::{Arg, BufferId, CompiledKernel, Device, LaunchConfig, LaunchStats, SimError};
+use gcn_sim::{Arg, BufferId, CompiledKernel, Device, LaunchConfig, LaunchStats};
 
 /// Result of one RMT launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,9 +45,9 @@ impl RmtLauncher {
     ///
     /// # Errors
     ///
-    /// [`RmtError::Geometry`] if intra-group doubling would exceed the
-    /// device's maximum work-group size.
-    pub fn rmt_geometry(
+    /// [`RmtError::Geometry`] if doubling overflows, or if intra-group
+    /// doubling would exceed the device's maximum work-group size.
+    fn rmt_geometry(
         dev: &Device,
         rk: &RmtKernel,
         base: &LaunchConfig,
@@ -59,14 +59,19 @@ impl RmtLauncher {
             // original body and runs on the original geometry.
             return Ok((global, local));
         }
-        global[0] *= 2;
+        let double = |n: usize| {
+            n.checked_mul(2)
+                .ok_or_else(|| RmtError::Geometry(format!("doubled dimension {n} overflows")))
+        };
+        global[0] = double(global[0])?;
         if rk.meta.options.flavor.is_intra() {
-            local[0] *= 2;
-            let group = local[0] * local[1] * local[2];
-            if group > dev.config().max_workgroup_size {
+            local[0] = double(local[0])?;
+            let limit = dev.config().max_workgroup_size;
+            let group = local.iter().try_fold(1usize, |a, &d| a.checked_mul(d));
+            if group.is_none_or(|g| g > limit) {
+                let group = group.map_or_else(|| format!("{local:?}"), |g| g.to_string());
                 return Err(RmtError::Geometry(format!(
-                    "doubled work-group of {group} exceeds device limit {}",
-                    dev.config().max_workgroup_size
+                    "doubled work-group of {group} exceeds device limit {limit}"
                 )));
             }
         }
@@ -105,47 +110,10 @@ impl RmtLauncher {
         compiled: &CompiledKernel,
         base: &LaunchConfig,
     ) -> Result<RmtRunResult, RmtError> {
-        let (run, ()) = self.run(dev, rk, base, |dev, cfg| {
-            Ok((dev.launch_compiled(compiled, cfg)?, ()))
-        })?;
-        Ok(run)
-    }
-
-    /// Like [`RmtLauncher::launch_compiled`], with cycle-attributed
-    /// profiling enabled on the transformed launch. Combine the returned
-    /// [`gcn_sim::Profile`] with [`crate::profile::split_cycles`] to
-    /// decompose the kernel's cycles into original / redundant /
-    /// detect-compare / protocol work.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RmtLauncher::launch`].
-    pub fn launch_profiled(
-        &mut self,
-        dev: &mut Device,
-        rk: &RmtKernel,
-        compiled: &CompiledKernel,
-        base: &LaunchConfig,
-        profile_cfg: gcn_sim::ProfileConfig,
-    ) -> Result<(RmtRunResult, gcn_sim::Profile), RmtError> {
-        self.run(dev, rk, base, |dev, cfg| {
-            dev.launch_compiled_profiled(compiled, cfg, profile_cfg)
-        })
-    }
-
-    /// The one launch body: prepares the transformed configuration, runs
-    /// `launch` on it, and reads back the detection count.
-    fn run<T>(
-        &mut self,
-        dev: &mut Device,
-        rk: &RmtKernel,
-        base: &LaunchConfig,
-        launch: impl FnOnce(&mut Device, &LaunchConfig) -> Result<(LaunchStats, T), SimError>,
-    ) -> Result<(RmtRunResult, T), RmtError> {
         let (cfg, detect) = self.prepare(dev, rk, base)?;
-        let (stats, extra) = launch(dev, &cfg)?;
+        let stats = dev.launch_compiled(compiled, &cfg)?;
         let detections = dev.read_u32s(detect)[0];
-        Ok((RmtRunResult { stats, detections }, extra))
+        Ok(RmtRunResult { stats, detections })
     }
 
     /// Builds the transformed launch configuration: doubled geometry plus
@@ -166,6 +134,25 @@ impl RmtLauncher {
             )));
         }
         let (global, local) = Self::rmt_geometry(dev, rk, base)?;
+        // Communication slots (inter-group, full stage): one per original
+        // work-item of the whole work-groups.
+        let comm_bytes = if rk.meta.comm_param.is_some() {
+            debug_assert_eq!(rk.meta.options.stage, Stage::Full);
+            let bytes = base
+                .num_groups()
+                .zip(base.group_size())
+                .and_then(|(n, g)| u32::try_from(n * g).ok())
+                .and_then(|items| items.checked_mul(rk.meta.comm_bytes_per_item));
+            Some(bytes.ok_or_else(|| {
+                RmtError::Geometry(format!(
+                    "communication buffer for global {:?} does not fit the \
+                     32-bit address space",
+                    base.global
+                ))
+            })?)
+        } else {
+            None
+        };
         let mut cfg = base.clone();
         cfg.global = global;
         cfg.local = local;
@@ -182,11 +169,7 @@ impl RmtLauncher {
             cfg.args.push(Arg::Buffer(ticket));
         }
 
-        // Communication slots (inter-group, full stage).
-        if rk.meta.comm_param.is_some() {
-            debug_assert_eq!(rk.meta.options.stage, Stage::Full);
-            let items = (base.num_groups() * base.group_size()) as u32;
-            let bytes = items * rk.meta.comm_bytes_per_item;
+        if let Some(bytes) = comm_bytes {
             let comm = match self.comm {
                 Some((b, sz)) if sz >= bytes => b,
                 _ => {

@@ -16,6 +16,9 @@ pub struct AggregateStats {
     pub passes: usize,
     /// Occupancy of the first pass (identical across passes in practice).
     pub occupancy: Option<gcn_sim::Occupancy>,
+    /// The passes' profiles accumulated into one (see
+    /// [`gcn_sim::Profile::accumulate`]), when the passes were profiled.
+    pub profile: Option<gcn_sim::Profile>,
 }
 
 impl AggregateStats {
@@ -64,6 +67,12 @@ impl AggregateStats {
         a.total_simds = c.total_simds;
         a.total_cus = c.total_cus;
         self.occupancy.get_or_insert(s.occupancy);
+        if let Some(p) = &s.profile {
+            match &mut self.profile {
+                Some(acc) => acc.accumulate(p),
+                None => self.profile = Some(p.clone()),
+            }
+        }
 
         // Power: runtime-weighted average, per-pass max for peak.
         self.power = Some(match self.power {
@@ -112,6 +121,8 @@ mod tests {
                 limiter: gcn_sim::OccupancyLimiter::WaveSlots,
             },
             faults_applied: 0,
+            trace: None,
+            profile: None,
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::stats::AggregateStats;
 use crate::{Benchmark, Plan, Scale};
 use gcn_sim::{Device, DeviceConfig, LaunchConfig, SimError};
-use rmt_core::{transform, RmtError, RmtLauncher, TransformOptions};
+use rmt_core::{transform, RmtError, RmtKernel, RmtLauncher, TransformOptions};
 use std::error::Error;
 use std::fmt;
 
@@ -101,20 +101,7 @@ pub fn run_original(
     dev_cfg: &DeviceConfig,
     modify: &dyn Fn(LaunchConfig) -> LaunchConfig,
 ) -> Result<RunOutcome, SuiteError> {
-    let mut dev = Device::new(dev_cfg.clone());
-    let plan = bench.plan(scale, &mut dev);
-    let compiled = dev.compile(&bench.kernel())?;
-    let mut agg = AggregateStats::new();
-    for pass in &plan.passes {
-        let cfg = modify(pass.clone());
-        let stats = dev.launch_compiled(&compiled, &cfg)?;
-        agg.add(&stats);
-    }
-    verify(bench, scale, &dev, &plan)?;
-    Ok(RunOutcome {
-        stats: agg,
-        detections: 0,
-    })
+    run_passes(bench, scale, dev_cfg, None, modify)
 }
 
 /// Runs the RMT-transformed benchmark, verifying results against the CPU
@@ -130,22 +117,7 @@ pub fn run_rmt(
     opts: &TransformOptions,
 ) -> Result<RunOutcome, SuiteError> {
     let rk = transform(&bench.kernel(), opts)?;
-    let mut dev = Device::new(dev_cfg.clone());
-    let plan = bench.plan(scale, &mut dev);
-    let compiled = dev.compile(&rk.kernel)?;
-    let mut launcher = RmtLauncher::new();
-    let mut agg = AggregateStats::new();
-    let mut detections = 0;
-    for pass in &plan.passes {
-        let run = launcher.launch_compiled(&mut dev, &rk, &compiled, pass)?;
-        detections += run.detections;
-        agg.add(&run.stats);
-    }
-    verify(bench, scale, &dev, &plan)?;
-    Ok(RunOutcome {
-        stats: agg,
-        detections,
-    })
+    run_passes(bench, scale, dev_cfg, Some(&rk), &|c| c)
 }
 
 /// Like [`run_original`], with cycle-attributed profiling enabled on
@@ -162,27 +134,8 @@ pub fn run_original_profiled(
     dev_cfg: &DeviceConfig,
     pcfg: &gcn_sim::ProfileConfig,
 ) -> Result<(RunOutcome, gcn_sim::Profile), SuiteError> {
-    let mut dev = Device::new(dev_cfg.clone());
-    let plan = bench.plan(scale, &mut dev);
-    let compiled = dev.compile(&bench.kernel())?;
-    let mut agg = AggregateStats::new();
-    let mut acc: Option<gcn_sim::Profile> = None;
-    for pass in &plan.passes {
-        let (stats, profile) = dev.launch_compiled_profiled(&compiled, pass, pcfg.clone())?;
-        agg.add(&stats);
-        match &mut acc {
-            Some(a) => a.accumulate(&profile),
-            None => acc = Some(profile),
-        }
-    }
-    verify(bench, scale, &dev, &plan)?;
-    Ok((
-        RunOutcome {
-            stats: agg,
-            detections: 0,
-        },
-        acc.expect("benchmarks have at least one pass"),
-    ))
+    let outcome = run_passes(bench, scale, dev_cfg, None, &|c| c.profile(pcfg.clone()))?;
+    Ok(take_profile(outcome))
 }
 
 /// Like [`run_rmt`], with cycle-attributed profiling enabled on every
@@ -199,34 +152,61 @@ pub fn run_rmt_profiled(
     dev_cfg: &DeviceConfig,
     opts: &TransformOptions,
     pcfg: &gcn_sim::ProfileConfig,
-) -> Result<(RunOutcome, gcn_sim::Profile, rmt_core::RmtKernel), SuiteError> {
+) -> Result<(RunOutcome, gcn_sim::Profile, RmtKernel), SuiteError> {
     let rk = transform(&bench.kernel(), opts)?;
+    let outcome = run_passes(bench, scale, dev_cfg, Some(&rk), &|c| {
+        c.profile(pcfg.clone())
+    })?;
+    let (outcome, profile) = take_profile(outcome);
+    Ok((outcome, profile, rk))
+}
+
+/// The one pass loop: plans the benchmark on a new device, compiles the
+/// original kernel (`rk` is `None`) or the transformed one, launches
+/// every pass as `modify` adjusts it, and verifies the results.
+fn run_passes(
+    bench: &dyn Benchmark,
+    scale: Scale,
+    dev_cfg: &DeviceConfig,
+    rk: Option<&RmtKernel>,
+    modify: &dyn Fn(LaunchConfig) -> LaunchConfig,
+) -> Result<RunOutcome, SuiteError> {
     let mut dev = Device::new(dev_cfg.clone());
     let plan = bench.plan(scale, &mut dev);
-    let compiled = dev.compile(&rk.kernel)?;
+    let compiled = match rk {
+        Some(rk) => dev.compile(&rk.kernel)?,
+        None => dev.compile(&bench.kernel())?,
+    };
     let mut launcher = RmtLauncher::new();
     let mut agg = AggregateStats::new();
     let mut detections = 0;
-    let mut acc: Option<gcn_sim::Profile> = None;
     for pass in &plan.passes {
-        let (run, profile) =
-            launcher.launch_profiled(&mut dev, &rk, &compiled, pass, pcfg.clone())?;
-        detections += run.detections;
-        agg.add(&run.stats);
-        match &mut acc {
-            Some(a) => a.accumulate(&profile),
-            None => acc = Some(profile),
-        }
+        let cfg = modify(pass.clone());
+        let stats = match rk {
+            Some(rk) => {
+                let run = launcher.launch_compiled(&mut dev, rk, &compiled, &cfg)?;
+                detections += run.detections;
+                run.stats
+            }
+            None => dev.launch_compiled(&compiled, &cfg)?,
+        };
+        agg.add(&stats);
     }
     verify(bench, scale, &dev, &plan)?;
-    Ok((
-        RunOutcome {
-            stats: agg,
-            detections,
-        },
-        acc.expect("benchmarks have at least one pass"),
-        rk,
-    ))
+    Ok(RunOutcome {
+        stats: agg,
+        detections,
+    })
+}
+
+/// Moves the accumulated profile of a profiled run out of its outcome.
+fn take_profile(mut outcome: RunOutcome) -> (RunOutcome, gcn_sim::Profile) {
+    let profile = outcome
+        .stats
+        .profile
+        .take()
+        .expect("benchmarks have at least one pass");
+    (outcome, profile)
 }
 
 /// Runs the naive full-duplication baseline the paper's related work

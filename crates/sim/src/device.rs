@@ -135,7 +135,9 @@ impl Device {
         self.launch_compiled(&compiled, cfg)
     }
 
-    /// Launches a pre-compiled kernel.
+    /// Launches a pre-compiled kernel. The probes set on `cfg` (faults,
+    /// trace, profile) ride along; what they recorded comes back in the
+    /// [`LaunchStats`].
     ///
     /// # Errors
     ///
@@ -145,69 +147,7 @@ impl Device {
         kernel: &CompiledKernel,
         cfg: &LaunchConfig,
     ) -> Result<LaunchStats, SimError> {
-        let machine = Machine::new(&self.config, kernel, &mut self.memory, &mut self.state, cfg)?;
-        Ok(machine.run()?.stats)
-    }
-
-    /// Launches a kernel while recording an execution trace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::launch`].
-    pub fn launch_traced(
-        &mut self,
-        kernel: &Kernel,
-        cfg: &LaunchConfig,
-        trace_cfg: crate::trace::TraceConfig,
-    ) -> Result<(LaunchStats, crate::trace::Trace), SimError> {
-        let compiled = compile(kernel)?;
-        let mut machine = Machine::new(
-            &self.config,
-            &compiled,
-            &mut self.memory,
-            &mut self.state,
-            cfg,
-        )?;
-        machine.set_tracer(trace_cfg);
-        let run = machine.run()?;
-        Ok((run.stats, run.trace))
-    }
-
-    /// Launches a kernel with cycle-attributed profiling enabled: every
-    /// wave-slot tick attributed to a [`crate::profile::SlotCat`], per-PC
-    /// hotspot counters, and (unless `profile_cfg.sample_interval` is 0)
-    /// fixed-interval timeline samples. Profiling is observational — the
-    /// returned [`LaunchStats`] are bit-identical to an unprofiled launch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::launch`].
-    pub fn launch_profiled(
-        &mut self,
-        kernel: &Kernel,
-        cfg: &LaunchConfig,
-        profile_cfg: crate::profile::ProfileConfig,
-    ) -> Result<(LaunchStats, crate::profile::Profile), SimError> {
-        let compiled = compile(kernel)?;
-        self.launch_compiled_profiled(&compiled, cfg, profile_cfg)
-    }
-
-    /// Launches a pre-compiled kernel with profiling enabled.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::launch_compiled`].
-    pub fn launch_compiled_profiled(
-        &mut self,
-        kernel: &CompiledKernel,
-        cfg: &LaunchConfig,
-        profile_cfg: crate::profile::ProfileConfig,
-    ) -> Result<(LaunchStats, crate::profile::Profile), SimError> {
-        let mut machine =
-            Machine::new(&self.config, kernel, &mut self.memory, &mut self.state, cfg)?;
-        machine.set_profiler(profile_cfg);
-        let run = machine.run()?;
-        Ok((run.stats, run.profile.expect("profiler was attached")))
+        Machine::new(&self.config, kernel, &mut self.memory, &mut self.state, cfg)?.run()
     }
 }
 

@@ -4,6 +4,8 @@ use crate::counters::PerfCounters;
 use crate::device::BufferId;
 use crate::fault::FaultPlan;
 use crate::power::PowerStats;
+use crate::profile::{Profile, ProfileConfig};
+use crate::trace::{Trace, TraceConfig};
 
 /// A kernel argument, bound positionally to a parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,6 +84,15 @@ pub struct LaunchConfig {
     pub groups_per_cu_cap: Option<usize>,
     /// Fault injections to perform.
     pub faults: FaultPlan,
+    /// Records an execution trace into [`LaunchStats::trace`].
+    pub trace: Option<TraceConfig>,
+    /// Records a cycle-attributed profile into [`LaunchStats::profile`]:
+    /// every wave-slot tick attributed to a [`crate::profile::SlotCat`],
+    /// per-PC hotspot counters, and (unless `sample_interval` is 0)
+    /// fixed-interval timeline samples. Profiling, like tracing, is
+    /// observational: every other field of the launch's [`LaunchStats`]
+    /// is bit-identical to an unprobed launch.
+    pub profile: Option<ProfileConfig>,
 }
 
 impl LaunchConfig {
@@ -95,6 +106,8 @@ impl LaunchConfig {
             extra_lds: 0,
             groups_per_cu_cap: None,
             faults: FaultPlan::none(),
+            trace: None,
+            profile: None,
         }
     }
 
@@ -139,24 +152,38 @@ impl LaunchConfig {
         self
     }
 
-    /// Total work-items in the NDRange.
-    pub fn global_items(&self) -> usize {
-        self.global[0] * self.global[1] * self.global[2]
+    /// Attaches an execution tracer.
+    pub fn trace(mut self, cfg: TraceConfig) -> Self {
+        self.trace = Some(cfg);
+        self
     }
 
-    /// Work-items per work-group.
-    pub fn group_size(&self) -> usize {
-        self.local[0] * self.local[1] * self.local[2]
+    /// Attaches a cycle-attributed profiler.
+    pub fn profile(mut self, cfg: ProfileConfig) -> Self {
+        self.profile = Some(cfg);
+        self
     }
 
-    /// Total work-groups.
-    pub fn num_groups(&self) -> usize {
-        if self.group_size() == 0 {
-            0
-        } else {
-            self.global_items() / self.group_size()
-        }
+    /// Total work-items in the NDRange, or `None` if the count overflows.
+    pub fn global_items(&self) -> Option<usize> {
+        checked_product(self.global)
     }
+
+    /// Work-items per work-group, or `None` if the count overflows.
+    pub fn group_size(&self) -> Option<usize> {
+        checked_product(self.local)
+    }
+
+    /// Total work-groups (0 for an empty work-group), or `None` if a
+    /// count overflows.
+    pub fn num_groups(&self) -> Option<usize> {
+        let group = self.group_size()?;
+        Some(self.global_items()?.checked_div(group).unwrap_or(0))
+    }
+}
+
+fn checked_product(dims: [usize; 3]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
 /// Results of a completed launch.
@@ -173,6 +200,10 @@ pub struct LaunchStats {
     /// Number of planned fault injections that were actually applied
     /// (a target can be missed if, e.g., its work-group already retired).
     pub faults_applied: usize,
+    /// What the tracer recorded, when [`LaunchConfig::trace`] was set.
+    pub trace: Option<Trace>,
+    /// What the profiler recorded, when [`LaunchConfig::profile`] was set.
+    pub profile: Option<Profile>,
 }
 
 impl LaunchStats {
@@ -217,9 +248,14 @@ mod tests {
     #[test]
     fn geometry_helpers() {
         let c = LaunchConfig::new([256, 2, 1], [64, 1, 1]);
-        assert_eq!(c.global_items(), 512);
-        assert_eq!(c.group_size(), 64);
-        assert_eq!(c.num_groups(), 8);
+        assert_eq!(c.global_items(), Some(512));
+        assert_eq!(c.group_size(), Some(64));
+        assert_eq!(c.num_groups(), Some(8));
+        let c = LaunchConfig::new([1 << 40, 1 << 40, 1], [64, 1, 1]);
+        assert_eq!(c.global_items(), None);
+        assert_eq!(c.num_groups(), None);
+        let c = LaunchConfig::new([64, 1, 1], [1 << 33, 1 << 31, 1]);
+        assert_eq!(c.group_size(), None);
     }
 
     #[test]

@@ -62,6 +62,18 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! ## Probes
+//!
+//! Fault injection, tracing and profiling are optional probes on the
+//! [`LaunchConfig`]: `.faults(plan)`, `.trace(TraceConfig)` and
+//! `.profile(ProfileConfig)`. They compose on one launch, and
+//! [`Device::launch_compiled`] is the only launch body: the
+//! [`LaunchStats`] it returns carries `faults_applied` and what the trace
+//! and profile recorded. The machine builds its tracer and profiler
+//! before the first work-group dispatch, so both see every wave from its
+//! start. Tracing and profiling are observational: every other field of
+//! the stats is bit-identical to an unprobed launch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -311,15 +311,6 @@ fn give_back<T>(free: &mut Vec<Vec<T>>, buf: &mut Vec<T>) {
     }
 }
 
-/// A completed run: the launch's statistics (already published to the
-/// campaign metrics) plus whatever the attached tracer and profiler
-/// recorded.
-pub(crate) struct Finished {
-    pub(crate) stats: LaunchStats,
-    pub(crate) trace: crate::trace::Trace,
-    pub(crate) profile: Option<crate::profile::Profile>,
-}
-
 pub(crate) struct Machine<'a> {
     cfg: &'a DeviceConfig,
     kernel: &'a CompiledKernel,
@@ -384,8 +375,8 @@ pub(crate) fn occupancy(
     cfg: &DeviceConfig,
     kernel: &CompiledKernel,
     launch: &LaunchConfig,
+    group_size: usize,
 ) -> Result<Occupancy, SimError> {
-    let group_size = launch.group_size();
     let vgprs = kernel
         .pressure
         .max(1)
@@ -460,8 +451,21 @@ impl<'a> Machine<'a> {
                     launch.global[d], launch.local[d]
                 )));
             }
+            // The id builtins are 32-bit.
+            if u32::try_from(launch.global[d]).is_err() {
+                return Err(SimError::BadGeometry(format!(
+                    "global[{d}]={} exceeds the 32-bit id range",
+                    launch.global[d]
+                )));
+            }
         }
-        let group_size = launch.group_size();
+        let (Some(group_size), Some(groups_total)) = (launch.group_size(), launch.num_groups())
+        else {
+            return Err(SimError::BadGeometry(format!(
+                "work-item count of global {:?} / local {:?} overflows",
+                launch.global, launch.local
+            )));
+        };
         if group_size > cfg.max_workgroup_size {
             return Err(SimError::BadGeometry(format!(
                 "work-group of {group_size} exceeds limit {}",
@@ -497,13 +501,12 @@ impl<'a> Machine<'a> {
             param_values.push(v);
         }
 
-        let occ = occupancy(cfg, kernel, launch)?;
+        let occ = occupancy(cfg, kernel, launch, group_size)?;
         let group_dims = [
             launch.global[0] / launch.local[0],
             launch.global[1] / launch.local[1],
             launch.global[2] / launch.local[2],
         ];
-        let groups_total = group_dims[0] * group_dims[1] * group_dims[2];
 
         let mut faults = launch.faults.injections.clone();
         faults.sort_by_key(|i| i.after_dyn_inst);
@@ -552,8 +555,18 @@ impl<'a> Machine<'a> {
             faults_applied: 0,
             lines: Vec::with_capacity(LANES),
             lds_seen: vec![0; (kernel.lds_bytes as usize / 4).div_ceil(64)],
-            tracer: None,
-            profiler: None,
+            tracer: launch.trace.clone().map(crate::trace::Tracer::new),
+            // Built before the initial dispatch below, so it sees every
+            // wave start and group dispatch.
+            profiler: launch.profile.clone().map(|p| {
+                crate::profile::Profiler::new(
+                    p,
+                    cfg.num_cus,
+                    cfg.simds_per_cu,
+                    cfg.max_waves_per_cu() as u64,
+                    kernel.ops.len(),
+                )
+            }),
         };
 
         // Initial dispatch: fill CUs round-robin, staggered.
@@ -633,36 +646,6 @@ impl<'a> Machine<'a> {
         if let Some(p) = &mut self.profiler {
             p.on_dispatch(t, (self.groups_total - self.next_group) as u64);
         }
-    }
-
-    pub(crate) fn set_tracer(&mut self, cfg: crate::trace::TraceConfig) {
-        self.tracer = Some(crate::trace::Tracer::new(cfg));
-    }
-
-    /// Attaches a profiler. `Machine::new` performs the initial staggered
-    /// dispatch before this can run, so the already-resident waves and the
-    /// dispatcher queue history are backfilled here.
-    pub(crate) fn set_profiler(&mut self, cfg: crate::profile::ProfileConfig) {
-        let mut p = crate::profile::Profiler::new(
-            cfg,
-            self.cfg.num_cus,
-            self.cfg.simds_per_cu,
-            self.cfg.max_waves_per_cu() as u64,
-            self.kernel.ops.len(),
-        );
-        for (wid, w) in self.waves.iter().enumerate() {
-            p.on_wave_start(wid, w.cu, w.simd, w.ready_at);
-        }
-        for (i, g) in self.groups.iter().enumerate() {
-            let t = g
-                .wave_ids
-                .iter()
-                .map(|&wid| self.waves[wid].ready_at)
-                .min()
-                .unwrap_or(0);
-            p.on_dispatch(t, (self.groups_total - (i + 1)) as u64);
-        }
-        self.profiler = Some(p);
     }
 
     /// Arms `wid` to wake at `t`. In the event engine this feeds the wake
@@ -763,7 +746,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Runs the launch to completion.
-    pub(crate) fn run(mut self) -> Result<Finished, SimError> {
+    pub(crate) fn run(mut self) -> Result<LaunchStats, SimError> {
         match self.engine {
             SimEngine::Event => self.run_event()?,
             SimEngine::LockStep => self.run_lockstep()?,
@@ -786,7 +769,7 @@ impl<'a> Machine<'a> {
             self.counters.l1.evictions += s.evictions;
         }
         let power = self.power.finish(self.counters.wall_ticks);
-        let trace = self.tracer.take().map(|t| t.trace).unwrap_or_default();
+        let trace = self.tracer.take().map(|t| t.trace);
         let profile = self.profiler.take().map(|p| {
             let prof = p.finish(self.counters.wall_ticks, &self.kernel.lines);
             #[cfg(debug_assertions)]
@@ -801,13 +784,11 @@ impl<'a> Machine<'a> {
             power,
             occupancy: self.occupancy,
             faults_applied: self.faults_applied,
-        };
-        stats.publish_obs();
-        Ok(Finished {
-            stats,
             trace,
             profile,
-        })
+        };
+        stats.publish_obs();
+        Ok(stats)
     }
 
     // ---- fault injection -------------------------------------------------

@@ -140,10 +140,13 @@ fn fuzz_corpus_is_engine_invariant() {
         for engine in [SimEngine::Event, SimEngine::LockStep] {
             let mut dev = Device::new(engine_cfg(engine));
             let (args, bufs) = materialize(&mut dev, &case);
-            let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize).args(args);
-            let (stats, trace) = dev
-                .launch_traced(&case.kernel, &cfg, TraceConfig::default())
+            let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize)
+                .args(args)
+                .trace(TraceConfig::default());
+            let mut stats = dev
+                .launch(&case.kernel, &cfg)
                 .unwrap_or_else(|e| panic!("{name} {engine:?}: {e}"));
+            let trace = stats.trace.take().expect("trace requested");
             assert!(!trace.truncated, "{name}: unbounded trace truncated");
             let contents: Vec<Vec<u8>> = bufs.iter().map(|b| dev.read_buffer(*b)).collect();
             runs.push((stats, trace, contents));

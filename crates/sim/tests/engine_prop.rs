@@ -55,9 +55,11 @@ fn run_engine(
     let (args, bufs) = materialize(&mut dev, case);
     let launch = LaunchConfig::new_1d(case.global as usize, case.local as usize)
         .args(args)
-        .faults(plan.clone());
-    match dev.launch_profiled(&case.kernel, &launch, pcfg.clone()) {
-        Ok((stats, profile)) => {
+        .faults(plan.clone())
+        .profile(pcfg.clone());
+    match dev.launch(&case.kernel, &launch) {
+        Ok(mut stats) => {
+            let profile = stats.profile.take().expect("profile requested");
             let contents = bufs.iter().map(|b| dev.read_buffer(*b)).collect();
             Ok((stats, profile, contents))
         }

@@ -36,15 +36,13 @@ fn materialize(dev: &mut Device, case: &FuzzCase) -> (Vec<Arg>, Vec<BufferId>) {
 fn profiled_launch(case: &FuzzCase, interval: u64) -> Result<Profile, SimError> {
     let mut dev = Device::new(DeviceConfig::small_test());
     let (args, _) = materialize(&mut dev, case);
-    let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize).args(args);
-    let (_, profile) = dev.launch_profiled(
-        &case.kernel,
-        &cfg,
-        ProfileConfig {
+    let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize)
+        .args(args)
+        .profile(ProfileConfig {
             sample_interval: interval,
-        },
-    )?;
-    Ok(profile)
+        });
+    let stats = dev.launch(&case.kernel, &cfg)?;
+    Ok(stats.profile.expect("profile requested"))
 }
 
 /// The conservation invariant holds on arbitrary generated kernels
@@ -95,8 +93,7 @@ fn profiling_does_not_perturb_results_or_timing() {
             let (args, bufs) = materialize(&mut dev, &case);
             let cfg = LaunchConfig::new_1d(case.global as usize, case.local as usize).args(args);
             let stats = if profiled {
-                dev.launch_profiled(&case.kernel, &cfg, ProfileConfig::default())
-                    .map(|(s, _)| s)
+                dev.launch(&case.kernel, &cfg.profile(ProfileConfig::default()))
             } else {
                 dev.launch(&case.kernel, &cfg)
             };

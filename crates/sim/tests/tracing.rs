@@ -25,13 +25,15 @@ fn kernel() -> Kernel {
 fn trace_records_one_wavefronts_program() {
     let mut dev = Device::new(DeviceConfig::small_test());
     let ob = dev.create_buffer(256 * 4);
-    let (stats, trace) = dev
-        .launch_traced(
+    let stats = dev
+        .launch(
             &kernel(),
-            &LaunchConfig::new_1d(256, 64).arg(Arg::Buffer(ob)),
-            TraceConfig::wavefront(1, 0, 0),
+            &LaunchConfig::new_1d(256, 64)
+                .arg(Arg::Buffer(ob))
+                .trace(TraceConfig::wavefront(1, 0, 0)),
         )
         .unwrap();
+    let trace = stats.trace.unwrap();
     assert!(stats.cycles > 0);
     assert!(!trace.truncated);
     assert!(!trace.records.is_empty());
@@ -57,12 +59,15 @@ fn trace_records_one_wavefronts_program() {
 fn trace_for_group_zero_takes_divergent_branch() {
     let mut dev = Device::new(DeviceConfig::small_test());
     let ob = dev.create_buffer(256 * 4);
-    let (_, trace) = dev
-        .launch_traced(
+    let trace = dev
+        .launch(
             &kernel(),
-            &LaunchConfig::new_1d(256, 64).arg(Arg::Buffer(ob)),
-            TraceConfig::wavefront(0, 0, 0),
+            &LaunchConfig::new_1d(256, 64)
+                .arg(Arg::Buffer(ob))
+                .trace(TraceConfig::wavefront(0, 0, 0)),
         )
+        .unwrap()
+        .trace
         .unwrap();
     let listing = trace.render();
     assert!(
@@ -80,16 +85,19 @@ fn trace_for_group_zero_takes_divergent_branch() {
 fn truncation_respects_max_records() {
     let mut dev = Device::new(DeviceConfig::small_test());
     let ob = dev.create_buffer(256 * 4);
-    let (_, trace) = dev
-        .launch_traced(
+    let trace = dev
+        .launch(
             &kernel(),
-            &LaunchConfig::new_1d(256, 64).arg(Arg::Buffer(ob)),
-            TraceConfig {
-                group: None,
-                wave: None,
-                max_records: 5,
-            },
+            &LaunchConfig::new_1d(256, 64)
+                .arg(Arg::Buffer(ob))
+                .trace(TraceConfig {
+                    group: None,
+                    wave: None,
+                    max_records: 5,
+                }),
         )
+        .unwrap()
+        .trace
         .unwrap();
     assert_eq!(trace.records.len(), 5);
     assert!(trace.truncated);
@@ -112,11 +120,12 @@ fn tracing_does_not_perturb_results_or_timing() {
     let run_traced = || {
         let mut dev = Device::new(DeviceConfig::small_test());
         let ob = dev.create_buffer(256 * 4);
-        let (s, _) = dev
-            .launch_traced(
+        let s = dev
+            .launch(
                 &kernel(),
-                &LaunchConfig::new_1d(256, 64).arg(Arg::Buffer(ob)),
-                TraceConfig::default(),
+                &LaunchConfig::new_1d(256, 64)
+                    .arg(Arg::Buffer(ob))
+                    .trace(TraceConfig::default()),
             )
             .unwrap();
         (s.cycles, dev.read_u32s(ob))

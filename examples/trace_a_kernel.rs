@@ -27,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rmt = transform(&kernel, &TransformOptions::intra_plus_lds())?;
     println!("== transformed kernel ==\n{}", rmt.kernel);
 
-    // Trace wavefront 0 of work-group 0. The launcher normally hides the
-    // geometry doubling; for tracing we drive the pieces by hand.
+    // Trace wavefront 0 of work-group 0 of the transformed launch.
     let mut dev = Device::new(DeviceConfig::small_test());
     let ib = dev.create_buffer(128 * 4);
     let ob = dev.create_buffer(128 * 4);
@@ -36,21 +35,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let base = LaunchConfig::new_1d(128, 64)
         .arg(Arg::Buffer(ib))
-        .arg(Arg::Buffer(ob));
-    let (global, local) = RmtLauncher::rmt_geometry(&dev, &rmt, &base)?;
-    let detect = dev.create_buffer(4);
-    let cfg = LaunchConfig::new(global, local)
-        .arg(Arg::Buffer(ib))
         .arg(Arg::Buffer(ob))
-        .arg(Arg::Buffer(detect));
-
-    let (stats, trace) = dev.launch_traced(&rmt.kernel, &cfg, TraceConfig::wavefront(0, 0, 64))?;
+        .trace(TraceConfig::wavefront(0, 0, 64));
+    let run = RmtLauncher::new().launch(&mut dev, &rmt, &base)?;
+    let trace = run.stats.trace.expect("tracing was requested");
     println!("== first 64 records of work-group 0, wavefront 0 ==\n");
     print!("{}", trace.render());
     println!(
         "\nkernel ran in {} cycles; detections buffer = {}",
-        stats.cycles,
-        dev.read_u32s(detect)[0]
+        run.stats.cycles, run.detections
     );
     println!(
         "\nNote the prologue (global_id masking and shifting), the LDS\n\
