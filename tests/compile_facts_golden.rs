@@ -18,12 +18,14 @@
 //! 0, 50 and 100: every exit site, the selected exits, each candidate
 //! slice's exits, instructions, cost and marginal cost, and the plan's
 //! total and selected cost. A cell of a transformed kernel also holds the
-//! `verify_rmt` verdict and every window of
-//! `rmt_core::coverage::analyze`, one line per window.
+//! `verify_rmt` verdict, every window of `rmt_core::coverage::analyze`,
+//! one line per window, and the `validate_transform` summary: the exits,
+//! compares and loops proved, and each residue's kind and detail.
 //!
-//! The kernels are every suite kernel, as written and under the seven
-//! postures `compile-suite` runs, and the first generated pool cases as
-//! written.
+//! The kernels are every suite kernel and the first [`POOL_POSTURED`]
+//! generated pool cases, each as written and under the seven postures
+//! `compile-suite` runs, and the rest of the first [`POOL_CASES`] pool
+//! cases as written.
 //!
 //! To regenerate after an intentional change to the analyses:
 //!
@@ -35,7 +37,9 @@ use gpu_rmt::ir::analysis::{group_divergent_regs, harden, live_spans, uniform_re
 use gpu_rmt::ir::fuzz::{child_seed, generate, GenConfig};
 use gpu_rmt::ir::{validate, Kernel, Reg};
 use gpu_rmt::kernels::all;
-use gpu_rmt::rmt::{coverage, transform, verify_rmt, RmtKernel, TransformOptions};
+use gpu_rmt::rmt::{
+    coverage, transform, validate_transform, verify_rmt, RmtKernel, TransformOptions,
+};
 use gpu_rmt::sim::{Device, DeviceConfig};
 use std::fmt::Write as _;
 
@@ -49,6 +53,10 @@ const POOL_SEED: u64 = 2014;
 
 /// Generated cases pinned, starting at case 0.
 const POOL_CASES: u64 = 64;
+
+/// Leading generated cases pinned under every posture too, as
+/// `compile-suite` transforms them.
+const POOL_POSTURED: u64 = 16;
 
 /// The original kernel plus the seven postures `compile-suite` runs.
 fn postures() -> Vec<(&'static str, Option<TransformOptions>)> {
@@ -168,8 +176,8 @@ fn plan_lines(out: &mut String, kernel: &Kernel) {
     }
 }
 
-/// Appends the `verify_rmt` verdict and coverage windows of a transformed
-/// kernel.
+/// Appends the `verify_rmt` verdict, coverage windows and `tv` summary of
+/// a transformed kernel.
 fn rmt_lines(out: &mut String, original: &Kernel, rk: &RmtKernel) {
     let errors: Vec<String> = verify_rmt(original, rk)
         .iter()
@@ -193,6 +201,18 @@ fn rmt_lines(out: &mut String, original: &Kernel, rk: &RmtKernel) {
             if w.machinery { " m" } else { "" },
             w.reason
         );
+    }
+    let tv = validate_transform(original, rk);
+    let _ = writeln!(
+        out,
+        "tv: exits {} compares {} loops {} residue {}",
+        tv.exits_proved,
+        tv.compares_proved,
+        tv.loops_proved,
+        tv.residue.len()
+    );
+    for r in &tv.residue {
+        let _ = writeln!(out, "  {:?} {}", r.kind, r.detail);
     }
 }
 
@@ -228,7 +248,10 @@ fn snapshot() -> String {
     }
     for i in 0..POOL_CASES {
         let case = generate(child_seed(POOL_SEED, i), &GenConfig::default());
-        if cell(&mut out, &format!("pool case {i}"), &case.kernel, &dev) {
+        let name = format!("pool case {i}");
+        if i < POOL_POSTURED {
+            kernel_cells(&mut out, &name, &case.kernel, &dev);
+        } else if cell(&mut out, &name, &case.kernel, &dev) {
             plan_lines(&mut out, &case.kernel);
         }
     }
