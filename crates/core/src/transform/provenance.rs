@@ -6,8 +6,7 @@
 //! ([`crate::coverage`]) — can consume the transform's own record instead
 //! of re-identifying comparisons, channels, and remaps structurally.
 
-use rmt_ir::Reg;
-use std::collections::{HashMap, HashSet};
+use rmt_ir::{Reg, RegMap, RegSet};
 
 /// What role a transform-inserted register plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +35,7 @@ pub enum RmtTag {
 pub struct Provenance {
     /// Registers numbered below this bound belong to the original kernel.
     pub user_reg_limit: u32,
-    tags: HashMap<Reg, RmtTag>,
+    tags: RegMap<RmtTag>,
 }
 
 impl Provenance {
@@ -45,7 +44,7 @@ impl Provenance {
     pub fn new(user_reg_limit: u32) -> Self {
         Provenance {
             user_reg_limit,
-            tags: HashMap::new(),
+            tags: RegMap::new(),
         }
     }
 
@@ -56,7 +55,7 @@ impl Provenance {
 
     /// The role of `reg`, if the transform tagged it.
     pub fn tag_of(&self, reg: Reg) -> Option<RmtTag> {
-        self.tags.get(&reg).copied()
+        self.tags.get(reg).copied()
     }
 
     /// `true` if `reg` carries exactly the role `tag`.
@@ -65,11 +64,11 @@ impl Provenance {
     }
 
     /// All registers carrying `tag`.
-    pub fn regs_with(&self, tag: RmtTag) -> HashSet<Reg> {
+    pub fn regs_with(&self, tag: RmtTag) -> RegSet {
         self.tags
             .iter()
             .filter(|&(_, &t)| t == tag)
-            .map(|(&r, _)| r)
+            .map(|(r, _)| r)
             .collect()
     }
 

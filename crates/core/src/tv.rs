@@ -50,7 +50,7 @@ fn tv_config(rk: &RmtKernel) -> TvConfig {
     // flow: they fold to per-side constants (or guard only detection
     // bumps) and must not enter path conditions.
     let mut machinery_guards = p.regs_with(RmtTag::RoleGuard);
-    machinery_guards.extend(detect_compares.iter().copied());
+    machinery_guards.extend(detect_compares.iter());
 
     let mut cfg = TvConfig {
         channel_values: p.regs_with(RmtTag::ChannelValue),

@@ -48,8 +48,7 @@ use crate::options::{CommMode, RmtFlavor, Stage};
 use crate::transform::{RmtKernel, RmtTag};
 use rmt_ir::analysis::harden::{harden, HardenConfig};
 use rmt_ir::analysis::Linear;
-use rmt_ir::{AtomicOp, Block, CmpOp, Inst, Kernel, MemSpace, Reg};
-use std::collections::HashSet;
+use rmt_ir::{AtomicOp, Block, CmpOp, Inst, Kernel, MemSpace, Reg, RegSet};
 use std::fmt;
 
 /// A violated RMT transform invariant.
@@ -164,11 +163,11 @@ struct Facts<'k> {
     /// from the transform's [`RmtTag::ChannelValue`] provenance when
     /// available, else from every load/swizzle/atomic result; closed over
     /// pure ops either way).
-    channel: HashSet<Reg>,
+    channel: RegSet,
     /// Registers defined as `Const 0`.
-    zeros: HashSet<Reg>,
+    zeros: RegSet,
     /// Registers defined by an equality comparison.
-    eq_cmps: HashSet<Reg>,
+    eq_cmps: RegSet,
 }
 
 impl Facts<'_> {
@@ -177,10 +176,10 @@ impl Facts<'_> {
     }
 }
 
-fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&HashSet<Reg>>) -> Facts<'k> {
+fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&RegSet>) -> Facts<'k> {
     let lin = Linear::new(kernel);
-    let mut zeros = HashSet::new();
-    let mut eq_cmps = HashSet::new();
+    let mut zeros = RegSet::for_kernel(kernel);
+    let mut eq_cmps = RegSet::for_kernel(kernel);
     for n in &lin.nodes {
         match *n.inst {
             Inst::Const { dst, bits: 0, .. } => {
@@ -195,9 +194,9 @@ fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&HashSet<Reg>>) ->
         }
     }
     // Iterate to a fixpoint so loop-carried `Mov` chains converge.
-    let mut channel = HashSet::new();
+    let mut channel = RegSet::for_kernel(kernel);
     loop {
-        let before = channel.len();
+        let mut changed = false;
         for n in &lin.nodes {
             let tainted = match *n.inst {
                 // With a provenance seed, only the transform's recorded
@@ -205,21 +204,21 @@ fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&HashSet<Reg>>) ->
                 Inst::Load { dst, .. }
                 | Inst::Swizzle { dst, .. }
                 | Inst::Atomic { dst: Some(dst), .. } => {
-                    channel_seed.is_none_or(|s| s.contains(&dst))
+                    channel_seed.is_none_or(|s| s.contains(dst))
                 }
                 // Pure value ops propagate the taint.
                 Inst::Unary { .. }
                 | Inst::Binary { .. }
                 | Inst::Cmp { .. }
                 | Inst::Select { .. }
-                | Inst::Mov { .. } => lin.srcs(n).iter().any(|s| channel.contains(s)),
+                | Inst::Mov { .. } => lin.srcs(n).iter().any(|&s| channel.contains(s)),
                 _ => false,
             };
             if tainted {
-                channel.insert(n.inst.dst().expect("only defs are tainted"));
+                changed |= channel.insert(n.inst.dst().expect("only defs are tainted"));
             }
         }
-        if channel.len() == before {
+        if !changed {
             break;
         }
     }
@@ -260,7 +259,7 @@ impl Checker<'_> {
 
     /// Is `r` a comparison result that consumed at least one channel value?
     fn compare_uses_channel(&self, r: Reg) -> bool {
-        self.facts.channel.contains(&r)
+        self.facts.channel.contains(r)
     }
 
     fn check_block(&mut self, b: &Block, if_depth: usize, in_wait_cond: bool) {
@@ -289,7 +288,7 @@ impl Checker<'_> {
                 } if in_wait_cond => {
                     if let Some(comm) = self.rk.meta.comm_param {
                         if self.facts.derives_from(*addr, comm)
-                            && (*op != AtomicOp::Add || !self.facts.zeros.contains(value))
+                            && (*op != AtomicOp::Add || !self.facts.zeros.contains(*value))
                         {
                             self.errors.push(VerifyError::MalformedPoll);
                         }
@@ -457,7 +456,7 @@ impl Checker<'_> {
                     else {
                         continue;
                     };
-                    if !self.facts.eq_cmps.contains(cond) {
+                    if !self.facts.eq_cmps.contains(*cond) {
                         self.errors.push(VerifyError::TicketPrologue(
                             "ticket acquisition not guarded by an equality test".into(),
                         ));

@@ -7,13 +7,12 @@
 use rmt_core::oracle::{run_case, Finding, OracleConfig};
 use rmt_core::{RmtKernel, RmtTag};
 use rmt_ir::fuzz::{child_seed, GenConfig};
-use rmt_ir::{Block, Inst, Reg};
-use std::collections::HashSet;
+use rmt_ir::{Block, Inst, RegSet};
 
 /// Removes every `if` whose condition the transform tagged as a
 /// detect-compare, recursively: the fault checks guarding the SoR exits
 /// silently disappear while the rest of the machinery stays intact.
-fn drop_detect_checks(blk: &mut Block, detect: &HashSet<Reg>) {
+fn drop_detect_checks(blk: &mut Block, detect: &RegSet) {
     blk.0.retain_mut(|inst| {
         if let Inst::If {
             cond,
@@ -21,7 +20,7 @@ fn drop_detect_checks(blk: &mut Block, detect: &HashSet<Reg>) {
             else_blk,
         } = inst
         {
-            if detect.contains(cond) {
+            if detect.contains(*cond) {
                 return false;
             }
             drop_detect_checks(then_blk, detect);

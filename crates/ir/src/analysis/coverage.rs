@@ -36,7 +36,8 @@ use crate::analysis::pressure::spans;
 use crate::analysis::uniformity::uniform_regs;
 use crate::inst::{Builtin, Dim, Inst, MemSpace, Reg};
 use crate::kernel::Kernel;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::regset::{RegMap, RegSet};
+use std::collections::BTreeSet;
 
 /// Where the redundant replicas of a transformed kernel live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,18 +93,18 @@ pub struct CoverageSpec {
     pub user_reg_limit: u32,
     /// Destinations of transform-inserted comparison instructions (the
     /// `ne`/`or` chain feeding each detect bump).
-    pub compare_regs: HashSet<Reg>,
+    pub compare_regs: RegSet,
     /// Replica values received over the communication channel (LDS slot
     /// loads, swizzle results, global comm-buffer loads).
-    pub channel_regs: HashSet<Reg>,
+    pub channel_regs: RegSet,
     /// Producer/consumer role predicates guarding publishes and checks.
-    pub role_guards: HashSet<Reg>,
+    pub role_guards: RegSet,
     /// Remapped ID registers (logical IDs/sizes derived from the raw
     /// builtins). These bless raw-ID dataflow: a value derived from a raw
     /// divergent builtin *not* passing through a remap is flagged Vulnerable.
-    pub id_remaps: HashSet<Reg>,
+    pub id_remaps: RegSet,
     /// Communication-slot address registers (and their index arithmetic).
-    pub comm_addr_regs: HashSet<Reg>,
+    pub comm_addr_regs: RegSet,
     /// Parameter index of the detection-counter buffer, if any.
     pub detect_param: Option<usize>,
     /// Parameter indices of protocol buffers (ticket counter, comm slots).
@@ -118,11 +119,11 @@ impl CoverageSpec {
             replication,
             full: true,
             user_reg_limit: u32::MAX,
-            compare_regs: HashSet::new(),
-            channel_regs: HashSet::new(),
-            role_guards: HashSet::new(),
-            id_remaps: HashSet::new(),
-            comm_addr_regs: HashSet::new(),
+            compare_regs: RegSet::default(),
+            channel_regs: RegSet::default(),
+            role_guards: RegSet::default(),
+            id_remaps: RegSet::default(),
+            comm_addr_regs: RegSet::default(),
             detect_param: None,
             protocol_params: BTreeSet::new(),
         }
@@ -433,7 +434,7 @@ struct Engine<'a, 'k> {
     spec: &'a CoverageSpec,
     /// The kernel's pre-order table; also its pointer provenance.
     lin: &'a Linear<'k>,
-    states: HashMap<Reg, SinkState>,
+    states: RegMap<SinkState>,
     /// (store idx, value reg, machinery) of user LDS stores/atomics.
     user_lds_writes: Vec<(usize, Reg)>,
     /// Value regs published into LDS communication slots.
@@ -459,7 +460,7 @@ impl<'a, 'k> Engine<'a, 'k> {
         Engine {
             spec,
             lin,
-            states: HashMap::new(),
+            states: RegMap::new(),
             user_lds_writes: Vec::new(),
             comm_lds_writes: Vec::new(),
             user_l1_loads: Vec::new(),
@@ -477,7 +478,7 @@ impl<'a, 'k> Engine<'a, 'k> {
     }
 
     fn is_comm_addr(&self, reg: Reg) -> bool {
-        self.spec.comm_addr_regs.contains(&reg)
+        self.spec.comm_addr_regs.contains(reg)
             || self
                 .spec
                 .protocol_params
@@ -486,22 +487,22 @@ impl<'a, 'k> Engine<'a, 'k> {
     }
 
     fn seed_compare(&mut self, reg: Reg, idx: usize) {
-        let st = self.states.entry(reg).or_default();
+        let st = self.states.get_or_default(reg);
         if st.compare_at.is_none_or(|c| idx < c) {
             st.compare_at = Some(idx);
         }
     }
 
     fn seed_exit(&mut self, reg: Reg, idx: usize) {
-        self.states.entry(reg).or_default().exits.insert(idx);
+        self.states.get_or_default(reg).exits.insert(idx);
     }
 
     fn seed_control(&mut self, reg: Reg) {
-        self.states.entry(reg).or_default().control = true;
+        self.states.get_or_default(reg).control = true;
     }
 
     fn seed_lds(&mut self, reg: Reg) {
-        self.states.entry(reg).or_default().lds_sink = true;
+        self.states.get_or_default(reg).lds_sink = true;
     }
 
     /// Seeds sink facts from each instruction's effect.
@@ -580,16 +581,16 @@ impl<'a, 'k> Engine<'a, 'k> {
                     }
                 }
                 Inst::If { cond, .. } => {
-                    if !self.spec.compare_regs.contains(&cond) {
+                    if !self.spec.compare_regs.contains(cond) {
                         self.seed_control(cond);
                     }
                 }
                 Inst::While { cond_reg, .. } => self.seed_control(cond_reg),
                 Inst::ReadBuiltin { dst, builtin } => {
-                    let blessed = self.spec.id_remaps.contains(&dst)
-                        || self.spec.comm_addr_regs.contains(&dst);
+                    let blessed =
+                        self.spec.id_remaps.contains(dst) || self.spec.comm_addr_regs.contains(dst);
                     if divergent_builtin(builtin, self.spec.replication) && !blessed {
-                        self.states.entry(dst).or_default().tainted = true;
+                        self.states.get_or_default(dst).tainted = true;
                     }
                 }
                 Inst::ReadParam { .. } | Inst::Barrier => {}
@@ -597,7 +598,7 @@ impl<'a, 'k> Engine<'a, 'k> {
                 _ => {
                     if n.inst
                         .dst()
-                        .is_some_and(|d| self.spec.compare_regs.contains(&d))
+                        .is_some_and(|d| self.spec.compare_regs.contains(d))
                     {
                         for &s in srcs {
                             self.seed_compare(s, n.idx);
@@ -612,12 +613,11 @@ impl<'a, 'k> Engine<'a, 'k> {
     /// destination, so the destination's sinks apply to the source) plus
     /// forward raw-ID taint, to fixpoint.
     fn propagate(&mut self) {
-        let blessed: HashSet<Reg> = self
+        let blessed: RegSet = self
             .spec
             .id_remaps
             .iter()
             .chain(self.spec.comm_addr_regs.iter())
-            .copied()
             .collect();
         let lin = self.lin;
         loop {
@@ -628,21 +628,25 @@ impl<'a, 'k> Engine<'a, 'k> {
                 // Backward: every def with sources carries data (pure ops,
                 // loads, atomic results — corrupting any input corrupts the
                 // result).
+                // The def's state is taken out while its sources absorb
+                // it and put back after; a def that reads itself gains
+                // nothing from itself.
                 if !srcs.is_empty() {
-                    if let Some(dstate) = self.states.get(&d).cloned() {
-                        for &s in srcs {
-                            changed |= self.states.entry(s).or_default().absorb_sinks(&dstate);
+                    if let Some(dstate) = self.states.remove(d) {
+                        for &s in srcs.iter().filter(|&&s| s != d) {
+                            changed |= self.states.get_or_default(s).absorb_sinks(&dstate);
                         }
+                        self.states.insert(d, dstate);
                     }
                 }
                 // Forward: raw-ID taint through pure data ops, stopped by
                 // remap blessings.
-                if is_pure(n.inst) && !blessed.contains(&d) {
+                if is_pure(n.inst) && !blessed.contains(d) {
                     let src_tainted = srcs
                         .iter()
-                        .any(|s| self.states.get(s).is_some_and(|st| st.tainted));
+                        .any(|&s| self.states.get(s).is_some_and(|st| st.tainted));
                     if src_tainted {
-                        let st = self.states.entry(d).or_default();
+                        let st = self.states.get_or_default(d);
                         if !st.tainted {
                             st.tainted = true;
                             changed = true;
@@ -683,14 +687,14 @@ impl<'a, 'k> Engine<'a, 'k> {
     fn compute_lds_clean(&mut self) {
         let empty = SinkState::default();
         self.lds_clean = self.local_load_dsts.iter().all(|d| {
-            let st = self.states.get(d).unwrap_or(&empty);
+            let st = self.states.get(*d).unwrap_or(&empty);
             !self.lds_load_dirty(st)
         });
     }
 
     /// Verdict for the VGPR-lane residency of `reg`.
     fn classify(&self, reg: Reg, st: &SinkState) -> (Protection, &'static str) {
-        if self.spec.compare_regs.contains(&reg) {
+        if self.spec.compare_regs.contains(reg) {
             return (Protection::Detected, "RMT comparison result");
         }
         if !st.observable() {
@@ -757,7 +761,7 @@ impl<'a, 'k> Engine<'a, 'k> {
             let reg = Reg(i as u32);
             let weight = (e - s + 1) as u64;
             let machinery = reg.0 >= self.spec.user_reg_limit;
-            let st = self.states.get(&reg).unwrap_or(&empty);
+            let st = self.states.get(reg).unwrap_or(&empty);
             let (p, why) = self.classify(reg, st);
             windows.push(Window {
                 reg,
@@ -839,7 +843,7 @@ impl<'a, 'k> Engine<'a, 'k> {
         // corruption there escapes the comparison whenever the loaded value
         // is observable.
         for &dst in &self.user_l1_loads {
-            let st = self.states.get(&dst).unwrap_or(&empty);
+            let st = self.states.get(dst).unwrap_or(&empty);
             let weight = spans
                 .get(dst.0 as usize)
                 .copied()
@@ -880,7 +884,7 @@ impl<'a, 'k> Engine<'a, 'k> {
                 for &op in self.lin.srcs(self.lin.node(idx)) {
                     let protected = self
                         .states
-                        .get(&op)
+                        .get(op)
                         .and_then(|st| st.compare_at)
                         .is_some_and(|c| c < idx);
                     if protected {

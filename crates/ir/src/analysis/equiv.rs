@@ -43,12 +43,14 @@
 //! campaigns and the differential fuzz oracle measure dynamically.
 
 use crate::analysis::uniformity::{has_divergent_sync, SyncSites};
+use crate::fxhash::FxHashMap;
 use crate::inst::{
     AtomicOp, BinOp, Block, Builtin, CmpOp, Dim, Inst, MemSpace, Reg, SwizzleMode, UnOp,
 };
 use crate::kernel::Kernel;
+use crate::regset::{RegMap, RegSet};
 use crate::types::Ty;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Public configuration and report types
@@ -86,25 +88,25 @@ pub enum BuiltinView {
 pub struct TvConfig {
     /// Registers holding values received from the partner replica
     /// (channel loads, FAST swizzle results).
-    pub channel_values: HashSet<Reg>,
+    pub channel_values: RegSet,
     /// Protocol registers: the ticket-counter atomic address, broadcast
     /// ticket loads, and full/empty wait-loop condition registers.
-    pub protocol: HashSet<Reg>,
+    pub protocol: RegSet,
     /// Destination registers of detection compares.
-    pub detect_compares: HashSet<Reg>,
+    pub detect_compares: RegSet,
     /// Guard condition registers whose `if`s are transform machinery
     /// (role guards and detect-compare guards) rather than user control
     /// flow — they contribute no path-condition entries.
-    pub machinery_guards: HashSet<Reg>,
+    pub machinery_guards: RegSet,
     /// Address registers of communication-channel stores/loads/atomics.
-    pub comm_addrs: HashSet<Reg>,
+    pub comm_addrs: RegSet,
     /// Address registers of detection-counter traffic (ignored by the
     /// walk: detection bumps are not observable outputs).
-    pub detect_addrs: HashSet<Reg>,
+    pub detect_addrs: RegSet,
     /// Builtin views applied while walking the *original* kernel.
-    pub orig_views: HashMap<Builtin, BuiltinView>,
+    pub orig_views: FxHashMap<Builtin, BuiltinView>,
     /// Builtin views applied while walking the *transformed* kernel.
-    pub trans_views: HashMap<Builtin, BuiltinView>,
+    pub trans_views: FxHashMap<Builtin, BuiltinView>,
     /// Bytes subtracted from consumer-side local addresses (the
     /// duplicated-LDS offset under Intra+LDS), 0 when LDS is shared.
     pub lds_relocation: u32,
@@ -271,7 +273,7 @@ enum TermKind {
 /// provably equal exactly when their ids coincide.
 struct Arena {
     kinds: Vec<TermKind>,
-    map: HashMap<TermKind, TermId>,
+    map: FxHashMap<TermKind, TermId>,
     next_opaque: u32,
 }
 
@@ -377,7 +379,7 @@ impl Arena {
     fn new() -> Self {
         Arena {
             kinds: Vec::new(),
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             next_opaque: 0,
         }
     }
@@ -790,7 +792,7 @@ struct WalkOut {
 /// Parameters selecting which kernel, views and machinery a walk uses.
 struct WalkParams<'a> {
     kernel: &'a Kernel,
-    views: &'a HashMap<Builtin, BuiltinView>,
+    views: &'a FxHashMap<Builtin, BuiltinView>,
     /// `Some(cfg)` only on the transformed walk: enables the machinery
     /// abstraction (channel, protocol, detection filtering).
     mach: Option<&'a TvConfig>,
@@ -802,7 +804,7 @@ struct WalkParams<'a> {
 
 struct Walker<'a> {
     arena: &'a mut Arena,
-    views: &'a HashMap<Builtin, BuiltinView>,
+    views: &'a FxHashMap<Builtin, BuiltinView>,
     mach: Option<&'a TvConfig>,
     sides: usize,
     reloc: u32,
@@ -814,9 +816,9 @@ struct Walker<'a> {
     clock: u32,
     loop_ordinal: u32,
     block_counter: u32,
-    env: [HashMap<Reg, TermId>; 2],
+    env: [RegMap<TermId>; 2],
     /// Per-publishing-side channel contents: raw address term → value.
-    channel: [HashMap<TermId, TermId>; 2],
+    channel: [FxHashMap<TermId, TermId>; 2],
     path: Vec<PathElem>,
     out: WalkOut,
 }
@@ -833,8 +835,8 @@ fn run_walk(arena: &mut Arena, p: WalkParams<'_>) -> WalkOut {
         clock: 0,
         loop_ordinal: 0,
         block_counter: 0,
-        env: [HashMap::new(), HashMap::new()],
-        channel: [HashMap::new(), HashMap::new()],
+        env: [RegMap::for_kernel(p.kernel), RegMap::for_kernel(p.kernel)],
+        channel: [FxHashMap::default(), FxHashMap::default()],
         path: Vec::new(),
         out: WalkOut::default(),
     };
@@ -857,7 +859,7 @@ impl Walker<'_> {
     /// Reads `r` on side `s`; an unset register is the zero-initialized
     /// register file (matching the simulator's semantics exactly).
     fn read(&mut self, s: usize, r: Reg) -> TermId {
-        match self.env[s].get(&r) {
+        match self.env[s].get(r) {
             Some(&t) => t,
             None => self.arena.cst(0),
         }
@@ -1021,12 +1023,12 @@ impl Walker<'_> {
                     self.write(s, act, *dst, t);
                 }
                 if let Some(cfg) = self.mach {
-                    if cfg.detect_compares.contains(dst) {
+                    if cfg.detect_compares.contains(*dst) {
                         let s = self.rec_side(act);
                         let ta = self.read(s, *a);
                         let tb = self.read(s, *b);
                         let channel_sourced =
-                            cfg.channel_values.contains(a) || cfg.channel_values.contains(b);
+                            cfg.channel_values.contains(*a) || cfg.channel_values.contains(*b);
                         self.out.compares.push(CompareRec {
                             a: ta,
                             b: tb,
@@ -1078,7 +1080,7 @@ impl Walker<'_> {
 
     fn exec_swizzle(&mut self, dst: Reg, src: Reg, mode: SwizzleMode, act: [bool; 2]) {
         if let Some(cfg) = self.mach {
-            if cfg.channel_values.contains(&dst) {
+            if cfg.channel_values.contains(dst) {
                 // FAST exchange: the swizzle reads the partner lane's
                 // VGPR regardless of EXEC, so source terms are read
                 // unconditionally and only the write is activity-gated.
@@ -1105,7 +1107,7 @@ impl Walker<'_> {
 
     fn exec_load(&mut self, dst: Reg, space: MemSpace, addr: Reg, act: [bool; 2]) {
         if let Some(cfg) = self.mach {
-            if cfg.channel_values.contains(&dst) {
+            if cfg.channel_values.contains(dst) {
                 // Cross-replica channel read: the value the *partner*
                 // published at this raw slot address. A missed lookup
                 // yields a fresh opaque — honest residue downstream, not
@@ -1122,7 +1124,7 @@ impl Walker<'_> {
                 }
                 return;
             }
-            if cfg.protocol.contains(&dst) {
+            if cfg.protocol.contains(dst) {
                 // Same-side protocol read (ticket broadcast through LDS:
                 // each replica reads back the ticket its own group
                 // published).
@@ -1152,7 +1154,7 @@ impl Walker<'_> {
 
     fn exec_store(&mut self, space: MemSpace, addr: Reg, value: Reg, act: [bool; 2], block: u32) {
         if let Some(cfg) = self.mach {
-            if cfg.comm_addrs.contains(&addr) {
+            if cfg.comm_addrs.contains(addr) {
                 // Channel publish, keyed by the raw (unrelocated) address
                 // term so the partner's identical slot formula hits.
                 for (s, &on) in act.iter().enumerate().take(self.sides) {
@@ -1164,7 +1166,7 @@ impl Walker<'_> {
                 }
                 return;
             }
-            if cfg.detect_addrs.contains(&addr) {
+            if cfg.detect_addrs.contains(addr) {
                 return;
             }
         }
@@ -1203,7 +1205,7 @@ impl Walker<'_> {
         block: u32,
     ) {
         if let Some(cfg) = self.mach {
-            if cfg.protocol.contains(&addr) {
+            if cfg.protocol.contains(addr) {
                 // Ticket grab: logically the work index T, with the raw
                 // counter handing 2T to the producer and 2T+1 to the
                 // consumer group.
@@ -1218,7 +1220,7 @@ impl Walker<'_> {
                 }
                 return;
             }
-            if cfg.comm_addrs.contains(&addr) {
+            if cfg.comm_addrs.contains(addr) {
                 // Full/empty state traffic: polls return unmodeled
                 // values (protocol liveness is assumed, not proved).
                 for (s, &on) in act.iter().enumerate().take(self.sides) {
@@ -1231,7 +1233,7 @@ impl Walker<'_> {
                 }
                 return;
             }
-            if cfg.detect_addrs.contains(&addr) {
+            if cfg.detect_addrs.contains(addr) {
                 return;
             }
         }
@@ -1275,9 +1277,7 @@ impl Walker<'_> {
 
     fn exec_if(&mut self, cond: Reg, then_blk: &Block, else_blk: &Block, act: [bool; 2]) {
         let g = [self.read(0, cond), self.read(1, cond)];
-        let machinery = self
-            .mach
-            .is_some_and(|m| m.machinery_guards.contains(&cond));
+        let machinery = self.mach.is_some_and(|m| m.machinery_guards.contains(cond));
         let mut t_act = [false, false];
         let mut e_act = [false, false];
         let mut symbolic = [false, false];
@@ -1297,7 +1297,11 @@ impl Walker<'_> {
         }
         let any_symbolic = symbolic[0] || symbolic[1];
         let push_path = any_symbolic && !machinery;
-        let pre = self.env.clone();
+        // Replicas with a symbolic guard walk both branches from the
+        // same pre-state; constant-guard replicas keep whatever the one
+        // branch they take produced.
+        let pre: [Option<RegMap<TermId>>; 2] =
+            std::array::from_fn(|s| symbolic[s].then(|| self.env[s].clone()));
         if t_act[0] || t_act[1] {
             if push_path {
                 self.path.push(PathElem::Guard {
@@ -1310,13 +1314,10 @@ impl Walker<'_> {
                 self.path.pop();
             }
         }
-        let post_then = self.env.clone();
-        // Replicas with a symbolic guard walk both branches from the
-        // same pre-state; constant-guard replicas keep whatever the one
-        // branch they take produced.
-        for s in 0..self.sides {
-            if symbolic[s] {
-                self.env[s] = pre[s].clone();
+        let mut post_then: [RegMap<TermId>; 2] = Default::default();
+        for (s, pre) in pre.into_iter().enumerate() {
+            if let Some(pre) = pre {
+                post_then[s] = std::mem::replace(&mut self.env[s], pre);
             }
         }
         if e_act[0] || e_act[1] {
@@ -1333,7 +1334,7 @@ impl Walker<'_> {
         }
         if any_symbolic {
             let mut defs = Vec::new();
-            let mut seen = HashSet::new();
+            let mut seen = RegSet::default();
             let mut def = |i: &Inst| defs.extend(i.dst().filter(|&d| seen.insert(d)));
             then_blk.visit_insts(&mut def);
             else_blk.visit_insts(&mut def);
@@ -1342,11 +1343,11 @@ impl Walker<'_> {
                     continue;
                 }
                 for &r in &defs {
-                    let tv = match post_then[s].get(&r) {
+                    let tv = match post_then[s].get(r) {
                         Some(&t) => t,
                         None => self.arena.cst(0),
                     };
-                    let ev = match self.env[s].get(&r) {
+                    let ev = match self.env[s].get(r) {
                         Some(&t) => t,
                         None => self.arena.cst(0),
                     };
@@ -1362,7 +1363,7 @@ impl Walker<'_> {
     }
 
     fn exec_while(&mut self, cond: &Block, cond_reg: Reg, body: &Block, act: [bool; 2]) {
-        let machinery = self.mach.is_some_and(|m| m.protocol.contains(&cond_reg));
+        let machinery = self.mach.is_some_and(|m| m.protocol.contains(cond_reg));
         if machinery {
             // Full/empty wait loop: walked once, no induction — the
             // protocol's poll results are opaque and its liveness is an
@@ -1378,7 +1379,7 @@ impl Walker<'_> {
         // hypothesis that replicas agree at iteration entry), then walk
         // the condition and body once.
         let mut defs = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = RegSet::default();
         let mut def = |i: &Inst| defs.extend(i.dst().filter(|&d| seen.insert(d)));
         cond.visit_insts(&mut def);
         body.visit_insts(&mut def);

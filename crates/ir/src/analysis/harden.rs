@@ -37,8 +37,9 @@ use crate::analysis::lint::expr::{
 use crate::analysis::uniformity::uniform_regs;
 use crate::inst::{BinOp, Inst, MemSpace, Reg};
 use crate::kernel::Kernel;
+use crate::regset::{RegMap, RegSet};
 use crate::types::Ty;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Charge (in duplicated-instruction units) for one publish+compare
 /// sequence at an exit site, before loop-frequency scaling.
@@ -190,7 +191,7 @@ struct Affine<'a, 'k> {
     lin: &'a Linear<'k>,
     atoms: Atoms,
     asm: LintAssumptions,
-    poly: HashMap<Reg, Poly>,
+    poly: RegMap<Poly>,
 }
 
 impl<'a, 'k> Affine<'a, 'k> {
@@ -199,7 +200,7 @@ impl<'a, 'k> Affine<'a, 'k> {
             lin,
             atoms: Atoms::new(),
             asm: LintAssumptions::default(),
-            poly: HashMap::new(),
+            poly: RegMap::new(),
         };
         for n in &lin.nodes {
             a.eval(n.inst);
@@ -212,7 +213,7 @@ impl<'a, 'k> Affine<'a, 'k> {
     }
 
     fn get(&mut self, r: Reg) -> Poly {
-        if let Some(p) = self.poly.get(&r) {
+        if let Some(p) = self.poly.get(r) {
             return p.clone();
         }
         let p = self.opaque();
@@ -222,7 +223,7 @@ impl<'a, 'k> Affine<'a, 'k> {
 
     fn define(&mut self, dst: Reg, p: Poly) {
         if self.lin.def_count(dst) > 1 {
-            if !self.poly.contains_key(&dst) {
+            if !self.poly.contains(dst) {
                 let o = self.opaque();
                 self.poly.insert(dst, o);
             }
@@ -315,8 +316,8 @@ struct Obs {
     control: bool,
 }
 
-fn absorb(obs: &mut HashMap<Reg, Obs>, dst: Reg, from: &Obs) -> bool {
-    let e = obs.entry(dst).or_default();
+fn absorb(obs: &mut RegMap<Obs>, dst: Reg, from: &Obs) -> bool {
+    let e = obs.get_or_default(dst);
     let mut changed = false;
     for &x in &from.exits {
         changed |= e.exits.insert(x);
@@ -365,8 +366,8 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             _ => None,
         })
         .collect();
-    // load node position -> the writes that may feed it.
-    let mut load_links: HashMap<usize, Vec<(usize, Reg, Reg)>> = HashMap::new();
+    // Per node position: the writes that may feed the load there.
+    let mut load_links: Vec<Vec<(usize, Reg, Reg)>> = vec![Vec::new(); nodes.len()];
     for (lp, n) in nodes.iter().enumerate() {
         let Inst::Load {
             space: MemSpace::Local,
@@ -380,7 +381,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         for &w in &writes {
             let wa = affine.get(w.1);
             if may_overlap(&wa, &la, &affine.atoms) {
-                load_links.entry(lp).or_default().push(w);
+                load_links[lp].push(w);
             }
         }
     }
@@ -388,15 +389,15 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     // Backward reachable-sink fixpoint under the blessed assumption (IDs
     // remapped, every planned exit compared): which exits and control
     // decisions can each register's corruption reach?
-    let mut obs: HashMap<Reg, Obs> = HashMap::new();
+    let mut obs: RegMap<Obs> = RegMap::for_kernel(kernel);
     for site in &lin.exits {
         for &s in lin.srcs(lin.node(site.idx)) {
-            obs.entry(s).or_default().exits.insert(site.ordinal);
+            obs.get_or_default(s).exits.insert(site.ordinal);
         }
     }
     for n in nodes {
         if let Inst::If { cond: c, .. } | Inst::While { cond_reg: c, .. } = *n.inst {
-            obs.entry(c).or_default().control = true;
+            obs.get_or_default(c).control = true;
         }
     }
     loop {
@@ -407,21 +408,32 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             if srcs.is_empty() {
                 continue;
             }
-            if let Some(od) = obs.get(&d).cloned() {
-                for &s in srcs {
+            // Taken out while the sources absorb it, as in the coverage
+            // engine's fixpoint.
+            if let Some(od) = obs.remove(d) {
+                for &s in srcs.iter().filter(|&&s| s != d) {
                     changed |= absorb(&mut obs, s, &od);
                 }
+                obs.insert(d, od);
             }
         }
-        for (&lp, wps) in &load_links {
+        for (lp, wps) in load_links.iter().enumerate() {
+            if wps.is_empty() {
+                continue;
+            }
             let dst = nodes[lp].inst.dst().expect("a load defines its result");
-            let Some(od) = obs.get(&dst).cloned() else {
+            let Some(od) = obs.remove(dst) else {
                 continue;
             };
             for &(_, addr, value) in wps {
-                changed |= absorb(&mut obs, value, &od);
-                changed |= absorb(&mut obs, addr, &od);
+                if value != dst {
+                    changed |= absorb(&mut obs, value, &od);
+                }
+                if addr != dst {
+                    changed |= absorb(&mut obs, addr, &od);
+                }
             }
+            obs.insert(dst, od);
         }
         if !changed {
             break;
@@ -452,7 +464,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         if w.residency != Residency::VgprLane || w.protection != Protection::Vulnerable {
             continue;
         }
-        let o = obs.get(&w.reg).unwrap_or(&empty);
+        let o = obs.get(w.reg).unwrap_or(&empty);
         if o.control || o.exits.is_empty() {
             continue;
         }
@@ -467,10 +479,10 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     // the exit's operands, LDS stores that may feed its loads, and the
     // defs of divergent enclosing conditions (a divergent branch must be
     // re-evaluated consistently by both replicas).
-    let mut defs: HashMap<Reg, Vec<usize>> = HashMap::new();
+    let mut defs: RegMap<Vec<usize>> = RegMap::for_kernel(kernel);
     for (i, n) in nodes.iter().enumerate() {
         if let Some(d) = n.inst.dst() {
-            defs.entry(d).or_default().push(i);
+            defs.get_or_default(d).push(i);
         }
     }
     let divergent = |r: &Reg| !uniform.contains(*r);
@@ -483,12 +495,12 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
             work.extend(lin.conds(n).filter(divergent));
         };
         visit(lin.node(site.idx), &mut insts, &mut work);
-        let mut seen: HashSet<Reg> = HashSet::new();
+        let mut seen = RegSet::for_kernel(kernel);
         while let Some(r) = work.pop() {
             if !seen.insert(r) {
                 continue;
             }
-            for &dp in defs.get(&r).map(Vec::as_slice).unwrap_or(&[]) {
+            for &dp in defs.get(r).map(Vec::as_slice).unwrap_or(&[]) {
                 let dn = &nodes[dp];
                 visit(dn, &mut insts, &mut work);
                 if matches!(
@@ -498,7 +510,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
                         ..
                     }
                 ) {
-                    for &(wp, ..) in load_links.get(&dp).map(Vec::as_slice).unwrap_or(&[]) {
+                    for &(wp, ..) in &load_links[dp] {
                         visit(&nodes[wp], &mut insts, &mut work);
                     }
                 }

@@ -21,9 +21,9 @@
 //! conclusions about byte addresses, which fit comfortably in `i128`. A
 //! kernel that relies on address wraparound is outside the domain.
 
+use crate::fxhash::FxHashMap;
 use crate::inst::{Builtin, Dim};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Interned atom identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,7 +80,7 @@ pub struct AtomInfo {
 #[derive(Debug, Default)]
 pub struct Atoms {
     infos: Vec<AtomInfo>,
-    by_kind: HashMap<AtomKind, AtomId>,
+    by_kind: FxHashMap<AtomKind, AtomId>,
     next_opaque: u32,
 }
 

@@ -135,7 +135,7 @@ pub fn lint_kernel(kernel: &Kernel, cfg: &LintConfig) -> Vec<Diagnostic> {
         diags.extend(races::check_intervals(&out, &cfg.assumptions));
     }
     // Alternatives and loop phases can rediscover the same finding.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = crate::fxhash::FxHashSet::default();
     diags.retain(|d| seen.insert(format!("{d}")));
     diags
 }

@@ -35,20 +35,20 @@
 use super::engine::{Access, AccessKind, Constraint, Rel, WalkOutput};
 use super::expr::{AtomId, AtomKind, Atoms, LintAssumptions, Monomial, Poly, BIG};
 use super::{Diagnostic, LintKind};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::inst::MemSpace;
-use std::collections::{HashMap, HashSet};
 
 /// Facts derived from one access's guard constraints.
 #[derive(Debug, Default)]
 struct Facts {
     /// Atom pinned to an exact value.
-    pins: HashMap<AtomId, i128>,
+    pins: FxHashMap<AtomId, i128>,
     /// Symbolic upper bound: atom ≤ poly (uniform).
-    sym_hi: HashMap<AtomId, Poly>,
+    sym_hi: FxHashMap<AtomId, Poly>,
     /// Symbolic lower bound: atom ≥ poly (uniform).
-    sym_lo: HashMap<AtomId, Poly>,
+    sym_lo: FxHashMap<AtomId, Poly>,
     /// Numeric refinements (intersected with the atom's own range).
-    num: HashMap<AtomId, (i128, i128)>,
+    num: FxHashMap<AtomId, (i128, i128)>,
     /// The constraint set is unsatisfiable: the access cannot execute
     /// (e.g. it sits on a pruned zero-iteration loop alternative).
     infeasible: bool,
@@ -240,7 +240,7 @@ fn eval_with_pin(p: &Poly, atoms: &Atoms, f: &Facts, a: AtomId, v: i128) -> (i12
     (lo, hi)
 }
 
-fn refine(num: &mut HashMap<AtomId, (i128, i128)>, a: AtomId, lo: i128, hi: i128) {
+fn refine(num: &mut FxHashMap<AtomId, (i128, i128)>, a: AtomId, lo: i128, hi: i128) {
     let e = num.entry(a).or_insert((-BIG, BIG));
     e.0 = e.0.max(lo);
     e.1 = e.1.min(hi);
@@ -372,7 +372,7 @@ fn sym_diff_range(
     p2: &Prepared,
     atoms: &Atoms,
     fu: &Facts,
-    split: &HashMap<AtomId, i128>,
+    split: &FxHashMap<AtomId, i128>,
 ) -> Option<(i128, i128)> {
     let (lane1, lane2, f1, f2) = (&p1.lane, &p2.lane, &p1.facts, &p2.facts);
     let base = p1.unif.sub(&p2.unif);
@@ -668,7 +668,7 @@ fn check_pair(
         }
         split_atoms.truncate(2);
         if !split_atoms.is_empty() {
-            let mut combos: Vec<HashMap<AtomId, i128>> = vec![HashMap::new()];
+            let mut combos: Vec<FxHashMap<AtomId, i128>> = vec![FxHashMap::default()];
             for &(a, lo, hi) in &split_atoms {
                 let mut next = Vec::new();
                 for d in lo..=hi {
@@ -819,7 +819,7 @@ fn check_pair(
     }
 
     // --- 3. Identity closure: are the colliding items the same item? ---
-    let mut known: HashMap<AtomId, Option<i128>> = HashMap::new(); // None = unknown δ
+    let mut known: FxHashMap<AtomId, Option<i128>> = FxHashMap::default(); // None = unknown δ
     for v in &vars {
         // Only matched vars are true δ values; one-sided vars carry the
         // raw value range of a single item.
@@ -933,7 +933,7 @@ fn check_pair(
 /// `(exact δ if derivable, confined-to-aligned-block ≤ wavefront)`.
 fn resolve_lid_delta(
     lid: &LidAtoms,
-    known: &HashMap<AtomId, Option<i128>>,
+    known: &FxHashMap<AtomId, Option<i128>>,
     wave: i128,
 ) -> (Option<i128>, bool) {
     if let Some(Some(d)) = known.get(&lid.lid) {
@@ -1088,7 +1088,7 @@ pub(super) fn check_intervals(out: &WalkOutput, asm: &LintAssumptions) -> Vec<Di
         .collect();
     let mut prepared: Vec<Option<Prepared>> = Vec::new();
     prepared.resize_with(out.accesses.len(), || None);
-    let mut checked: HashSet<(u32, u32)> = HashSet::new();
+    let mut checked: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut diags = Vec::new();
     for interval in &out.intervals {
         for (n, &i) in interval.iter().enumerate() {

@@ -1,11 +1,11 @@
 //! Ergonomic construction of [`Kernel`]s.
 
+use crate::fxhash::FxHashMap;
 use crate::inst::{
     AtomicOp, BinOp, Block, Builtin, CmpOp, Dim, Inst, MemSpace, Reg, SwizzleMode, UnOp,
 };
 use crate::kernel::{Kernel, Param, ParamKind};
 use crate::types::Ty;
-use std::collections::HashMap;
 
 /// Builds a [`Kernel`] with structured control flow via closures.
 ///
@@ -20,7 +20,7 @@ pub struct KernelBuilder {
     lds_bytes: u32,
     next_reg: u32,
     stack: Vec<Vec<Inst>>,
-    const_cache: HashMap<u32, Reg>,
+    const_cache: FxHashMap<u32, Reg>,
 }
 
 macro_rules! bin_helpers {
@@ -65,7 +65,7 @@ impl KernelBuilder {
             lds_bytes: 0,
             next_reg: 0,
             stack: vec![Vec::new()],
-            const_cache: HashMap::new(),
+            const_cache: FxHashMap::default(),
         }
     }
 

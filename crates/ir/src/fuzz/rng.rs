@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn child_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             assert!(seen.insert(child_seed(99, i)), "collision at index {i}");
         }
