@@ -389,9 +389,11 @@ struct SinkState {
     /// Earliest linear index at which (a value derived from) this register
     /// enters an RMT comparison or is published over the comm channel.
     compare_at: Option<usize>,
-    /// Linear indices of SoR exits (global stores/atomics, unduplicated
-    /// local stores) the register can reach.
-    exits: BTreeSet<usize>,
+    /// Earliest linear index of an SoR exit (global store/atomic,
+    /// unduplicated local store) the register can reach. Consumers read
+    /// only whether one is reachable and which comes first, so the
+    /// minimum carries everything the set of exits would.
+    first_exit: Option<usize>,
     /// Reaches a non-comparison control decision.
     control: bool,
     /// Flows into a replicated LDS word (deferred protection: follows the
@@ -403,21 +405,13 @@ struct SinkState {
 
 impl SinkState {
     fn observable(&self) -> bool {
-        self.compare_at.is_some() || !self.exits.is_empty() || self.control || self.lds_sink
+        self.compare_at.is_some() || self.first_exit.is_some() || self.control || self.lds_sink
     }
 
     /// Merges `other`'s sinks (not taint — taint flows forward) into `self`.
     fn absorb_sinks(&mut self, other: &SinkState) -> bool {
-        let mut changed = false;
-        if let Some(c) = other.compare_at {
-            if self.compare_at.is_none_or(|mine| c < mine) {
-                self.compare_at = Some(c);
-                changed = true;
-            }
-        }
-        for &e in &other.exits {
-            changed |= self.exits.insert(e);
-        }
+        let mut changed = lower(&mut self.compare_at, other.compare_at);
+        changed |= lower(&mut self.first_exit, other.first_exit);
         if other.control && !self.control {
             self.control = true;
             changed = true;
@@ -427,6 +421,18 @@ impl SinkState {
             changed = true;
         }
         changed
+    }
+}
+
+/// Lowers `mine` to `other` where `other` is earlier (`None` = never);
+/// `true` if it moved.
+fn lower(mine: &mut Option<usize>, other: Option<usize>) -> bool {
+    match other {
+        Some(o) if mine.is_none_or(|m| o < m) => {
+            *mine = Some(o);
+            true
+        }
+        _ => false,
     }
 }
 
@@ -487,14 +493,11 @@ impl<'a, 'k> Engine<'a, 'k> {
     }
 
     fn seed_compare(&mut self, reg: Reg, idx: usize) {
-        let st = self.states.get_or_default(reg);
-        if st.compare_at.is_none_or(|c| idx < c) {
-            st.compare_at = Some(idx);
-        }
+        lower(&mut self.states.get_or_default(reg).compare_at, Some(idx));
     }
 
     fn seed_exit(&mut self, reg: Reg, idx: usize) {
-        self.states.get_or_default(reg).exits.insert(idx);
+        lower(&mut self.states.get_or_default(reg).first_exit, Some(idx));
     }
 
     fn seed_control(&mut self, reg: Reg) {
@@ -674,7 +677,7 @@ impl<'a, 'k> Engine<'a, 'k> {
         if !self.spec.full {
             return true;
         }
-        if let Some(&first_exit) = st.exits.iter().next() {
+        if let Some(first_exit) = st.first_exit {
             return st.compare_at.is_none_or(|c| c >= first_exit);
         }
         false
@@ -718,7 +721,7 @@ impl<'a, 'k> Engine<'a, 'k> {
                 "no comparisons inserted (redundant-only stage)",
             );
         }
-        if let Some(&first_exit) = st.exits.iter().next() {
+        if let Some(first_exit) = st.first_exit {
             match st.compare_at {
                 Some(c) if c < first_exit => {
                     (Protection::Detected, "compared before every SoR exit")

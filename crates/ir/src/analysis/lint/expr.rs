@@ -23,7 +23,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::inst::{Builtin, Dim};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// Interned atom identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -143,19 +143,130 @@ impl Atoms {
     }
 }
 
-/// A product of atoms (sorted, with multiplicity). Empty = the unit.
-pub type Monomial = Vec<AtomId>;
-
 /// Maximum monomial degree before collapsing to opaque.
 const MAX_DEGREE: usize = 4;
 /// Maximum number of terms before collapsing to opaque.
 const MAX_TERMS: usize = 24;
+/// Atom slots of a [`Monomial`]: the product of two monomials of degree
+/// [`MAX_DEGREE`] fits, so [`Poly::mul`] can form it before rejecting it.
+const MONO_SLOTS: usize = 2 * MAX_DEGREE;
+
+/// A product of atoms (sorted, with multiplicity), held inline. Empty =
+/// the unit. It compares, orders and hashes as its atom slice, so terms
+/// sort exactly as `Vec<AtomId>` keys would.
+#[derive(Clone, Copy)]
+pub struct Monomial {
+    len: u8,
+    slots: [AtomId; MONO_SLOTS],
+}
+
+impl Monomial {
+    /// The unit monomial.
+    pub const ONE: Monomial = Monomial {
+        len: 0,
+        slots: [AtomId(0); MONO_SLOTS],
+    };
+
+    /// The monomial of one atom.
+    pub fn of(a: AtomId) -> Self {
+        let mut m = Monomial::ONE;
+        m.push(a);
+        m
+    }
+
+    /// Appends an atom; the caller keeps the atoms sorted.
+    ///
+    /// # Panics
+    ///
+    /// If all [`MONO_SLOTS`] slots are taken.
+    pub fn push(&mut self, a: AtomId) {
+        self.slots[self.len as usize] = a;
+        self.len += 1;
+    }
+
+    /// Removes the atom at `i`.
+    pub fn remove(&mut self, i: usize) {
+        self.slots.copy_within(i + 1..self.len as usize, i);
+        self.len -= 1;
+    }
+
+    /// Empties the monomial.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The sorted product of two monomials; `None` if it has more than
+    /// [`MONO_SLOTS`] atoms.
+    fn product(&self, o: &Monomial) -> Option<Monomial> {
+        if self.len() + o.len() > MONO_SLOTS {
+            return None;
+        }
+        let mut m = Monomial::ONE;
+        let (mut a, mut b) = (self.iter().peekable(), o.iter().peekable());
+        while let Some(&x) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y < x => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        } {
+            m.push(x);
+        }
+        Some(m)
+    }
+}
+
+impl std::ops::Deref for Monomial {
+    type Target = [AtomId];
+    fn deref(&self) -> &[AtomId] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Monomial {
+    type Item = &'a AtomId;
+    type IntoIter = std::slice::Iter<'a, AtomId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Monomial {
+    fn eq(&self, o: &Self) -> bool {
+        **self == **o
+    }
+}
+
+impl Eq for Monomial {}
+
+impl PartialOrd for Monomial {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+
+impl Ord for Monomial {
+    fn cmp(&self, o: &Self) -> Ordering {
+        (**self).cmp(&**o)
+    }
+}
+
+impl std::hash::Hash for Monomial {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        (**self).hash(h)
+    }
+}
+
+impl std::fmt::Debug for Monomial {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A multivariate polynomial over atoms with integer coefficients.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Poly {
-    /// Monomial → coefficient (no zero coefficients stored).
-    pub terms: BTreeMap<Monomial, i64>,
+    /// (monomial, coefficient) pairs in increasing monomial order, no
+    /// monomial twice and no zero coefficient.
+    terms: Vec<(Monomial, i64)>,
     /// Constant term.
     pub k: i64,
 }
@@ -164,16 +275,49 @@ impl Poly {
     /// The constant polynomial.
     pub fn constant(k: i64) -> Self {
         Poly {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             k,
         }
     }
 
     /// A single atom.
     pub fn atom(a: AtomId) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(vec![a], 1);
-        Poly { terms, k: 0 }
+        Poly {
+            terms: vec![(Monomial::of(a), 1)],
+            k: 0,
+        }
+    }
+
+    /// The non-constant terms, in increasing monomial order.
+    pub fn terms(&self) -> &[(Monomial, i64)] {
+        &self.terms
+    }
+
+    /// Every atom of every term, in term order (an atom repeats as often
+    /// as it occurs).
+    pub fn atom_ids(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.terms.iter().flat_map(|(m, _)| m.iter().copied())
+    }
+
+    /// Adds `c·m` (saturating), dropping the term if it cancels.
+    pub fn add_term(&mut self, m: Monomial, c: i64) {
+        match self.terms.binary_search_by(|(t, _)| t.cmp(&m)) {
+            Ok(i) => {
+                let e = &mut self.terms[i].1;
+                *e = e.saturating_add(c);
+                if *e == 0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) if c != 0 => self.terms.insert(i, (m, c)),
+            Err(_) => {}
+        }
+    }
+
+    /// Removes the term of `m`, returning its coefficient.
+    pub fn remove_term(&mut self, m: &Monomial) -> Option<i64> {
+        let i = self.terms.binary_search_by(|(t, _)| t.cmp(m)).ok()?;
+        Some(self.terms.remove(i).1)
     }
 
     /// `Some(k)` if the polynomial is a constant.
@@ -188,49 +332,80 @@ impl Poly {
     /// `Some(atom)` if the polynomial is exactly one atom (coefficient 1,
     /// no constant).
     pub fn as_single_atom(&self) -> Option<AtomId> {
-        if self.k != 0 || self.terms.len() != 1 {
-            return None;
-        }
-        let (m, &c) = self.terms.iter().next().unwrap();
-        if c == 1 && m.len() == 1 {
-            Some(m[0])
-        } else {
-            None
+        match self.terms[..] {
+            [(m, 1)] if self.k == 0 && m.len() == 1 => Some(m[0]),
+            _ => None,
         }
     }
 
     /// True if too large to keep exact.
     fn oversized(&self) -> bool {
-        self.terms.len() > MAX_TERMS || self.terms.keys().any(|m| m.len() > MAX_DEGREE)
+        self.terms.len() > MAX_TERMS || self.terms.iter().any(|(m, _)| m.len() > MAX_DEGREE)
+    }
+
+    /// The monomials of either polynomial in increasing order, each with
+    /// its coefficient in `self` and in `o` (0 where absent).
+    pub fn union_terms<'a>(
+        &'a self,
+        o: &'a Poly,
+    ) -> impl Iterator<Item = (Monomial, i64, i64)> + 'a {
+        let (a, b) = (&self.terms, &o.terms);
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            let ord = match (a.get(i), b.get(j)) {
+                (Some(x), Some(y)) => x.0.cmp(&y.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            Some(match ord {
+                Ordering::Less => {
+                    i += 1;
+                    (a[i - 1].0, a[i - 1].1, 0)
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (b[j - 1].0, 0, b[j - 1].1)
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (a[i - 1].0, a[i - 1].1, b[j - 1].1)
+                }
+            })
+        })
+    }
+
+    /// `f(self's coefficient, o's)` term by term, zeros dropped.
+    fn merge(&self, o: &Poly, k: i64, f: impl Fn(i64, i64) -> i64) -> Poly {
+        let terms = self
+            .union_terms(o)
+            .map(|(m, a, b)| (m, f(a, b)))
+            .filter(|&(_, c)| c != 0)
+            .collect();
+        Poly { terms, k }
     }
 
     /// Adds two polynomials.
     pub fn add(&self, o: &Poly) -> Poly {
-        let mut r = self.clone();
-        r.k = r.k.saturating_add(o.k);
-        for (m, c) in &o.terms {
-            let e = r.terms.entry(m.clone()).or_insert(0);
-            *e = e.saturating_add(*c);
-            if *e == 0 {
-                r.terms.remove(m);
-            }
-        }
-        r
+        self.merge(o, self.k.saturating_add(o.k), i64::saturating_add)
     }
 
     /// Negates.
     pub fn neg(&self) -> Poly {
         let mut r = self.clone();
-        r.k = -r.k;
-        for c in r.terms.values_mut() {
-            *c = -*c;
+        r.k = r.k.wrapping_neg();
+        for (_, c) in &mut r.terms {
+            *c = c.wrapping_neg();
         }
         r
     }
 
-    /// Subtracts.
+    /// Subtracts: `self + (−o)`, with the same wrapping negation as
+    /// [`Poly::neg`].
     pub fn sub(&self, o: &Poly) -> Poly {
-        self.add(&o.neg())
+        let k = self.k.saturating_add(o.k.wrapping_neg());
+        self.merge(o, k, |a, b| a.saturating_add(b.wrapping_neg()))
     }
 
     /// Multiplies by an integer.
@@ -240,7 +415,7 @@ impl Poly {
         }
         let mut r = self.clone();
         r.k = r.k.saturating_mul(s);
-        for c in r.terms.values_mut() {
+        for (_, c) in &mut r.terms {
             *c = c.saturating_mul(s);
         }
         r
@@ -249,32 +424,30 @@ impl Poly {
     /// Multiplies two polynomials; `None` if the result exceeds the degree
     /// or size caps (caller falls back to an opaque atom).
     pub fn mul(&self, o: &Poly) -> Option<Poly> {
-        let mut r = Poly::constant(self.k.saturating_mul(o.k));
-        let acc = |m: &Monomial, c: i64, r: &mut Poly| {
-            let e = r.terms.entry(m.clone()).or_insert(0);
-            *e = e.saturating_add(c);
-            if *e == 0 {
-                r.terms.remove(m);
-            }
-        };
-        for (m, c) in &self.terms {
-            if o.k != 0 {
-                acc(m, c.saturating_mul(o.k), &mut r);
-            }
+        // Every partial product, in the order a term-at-a-time
+        // accumulation meets them. The stable sort keeps that order within
+        // each monomial, so the saturating sums below come out the same.
+        let mut parts = Vec::new();
+        if o.k != 0 {
+            parts.extend(self.terms.iter().map(|&(m, c)| (m, c.saturating_mul(o.k))));
         }
-        for (m, c) in &o.terms {
-            if self.k != 0 {
-                acc(m, c.saturating_mul(self.k), &mut r);
-            }
+        if self.k != 0 {
+            parts.extend(o.terms.iter().map(|&(m, c)| (m, c.saturating_mul(self.k))));
         }
         for (ma, ca) in &self.terms {
             for (mb, cb) in &o.terms {
-                let mut m = ma.clone();
-                m.extend_from_slice(mb);
-                m.sort_unstable();
-                acc(&m, ca.saturating_mul(*cb), &mut r);
+                parts.push((ma.product(mb)?, ca.saturating_mul(*cb)));
             }
         }
+        parts.sort_by_key(|&(m, _)| m);
+        let mut r = Poly::constant(self.k.saturating_mul(o.k));
+        for (m, c) in parts {
+            match r.terms.last_mut() {
+                Some((last, e)) if *last == m => *e = e.saturating_add(c),
+                _ => r.terms.push((m, c)),
+            }
+        }
+        r.terms.retain(|&(_, c)| c != 0);
         if r.oversized() {
             None
         } else {
@@ -284,9 +457,7 @@ impl Poly {
 
     /// True if any monomial contains a lane atom.
     pub fn has_lane(&self, atoms: &Atoms) -> bool {
-        self.terms
-            .keys()
-            .any(|m| m.iter().any(|&a| atoms.info(a).lane))
+        self.atom_ids().any(|a| atoms.info(a).lane)
     }
 
     /// Splits into (lane-dependent part, uniform part incl. constant).
@@ -299,7 +470,7 @@ impl Poly {
             } else {
                 &mut unif
             };
-            target.terms.insert(m.clone(), *c);
+            target.terms.push((*m, *c));
         }
         (lane, unif)
     }
@@ -309,10 +480,10 @@ impl Poly {
     pub fn eval_range(&self, atoms: &Atoms) -> (i128, i128) {
         let mut lo = self.k as i128;
         let mut hi = self.k as i128;
-        for (m, &c) in &self.terms {
+        for &(m, c) in &self.terms {
             // Interval product over the monomial's atoms.
             let (mut mlo, mut mhi) = (1i128, 1i128);
-            for &a in m {
+            for &a in &m {
                 let i = atoms.info(a);
                 let cands = [
                     mlo.saturating_mul(i.lo),
@@ -461,10 +632,10 @@ pub fn shr_poly(atoms: &mut Atoms, p: &Poly, shift: u8) -> Poly {
     // Division distributes only when every coefficient (and the constant)
     // is a nonnegative multiple of the divisor: each term's quotient is
     // then exact and floor of the sum equals the sum of floors.
-    if p.k >= 0 && p.k % d == 0 && p.terms.values().all(|&c| c >= 0 && c % d == 0) {
+    if p.k >= 0 && p.k % d == 0 && p.terms.iter().all(|&(_, c)| c >= 0 && c % d == 0) {
         let mut r = p.clone();
         r.k /= d;
-        for c in r.terms.values_mut() {
+        for (_, c) in &mut r.terms {
             *c /= d;
         }
         return r;
@@ -558,8 +729,8 @@ mod tests {
         let asm = LintAssumptions::one_dim(128);
         let gid = builtin_poly(&mut at, Builtin::GlobalId(Dim(0)), &asm);
         let (lane, unif) = gid.split_lane(&at);
-        assert!(!lane.terms.is_empty());
-        assert!(!unif.terms.is_empty());
+        assert!(!lane.terms().is_empty());
+        assert!(!unif.terms().is_empty());
     }
 
     #[test]

@@ -76,11 +76,10 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
         match c.rel {
             Rel::EqZero => {
                 // Normalize so single-atom handling sees a positive coeff.
-                if p.terms.values().all(|&v| v < 0) && p.k <= 0 {
+                if p.terms().iter().all(|&(_, v)| v < 0) && p.k <= 0 {
                     p = p.neg();
                 }
-                if p.terms.len() == 1 {
-                    let (m, &ca) = p.terms.iter().next().unwrap();
+                if let [(m, ca)] = p.terms()[..] {
                     if m.len() == 1 && ca != 0 && (-p.k) % ca == 0 {
                         f.pins.insert(m[0], (-p.k / ca) as i128);
                         continue;
@@ -101,12 +100,10 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
                 // Sum of nonneg monomials == 0 pins each single atom to 0
                 // (the `local_linear_id == 0` idiom).
                 let nonneg = p.k >= 0
-                    && p.terms.values().all(|&v| v > 0)
-                    && p.terms
-                        .keys()
-                        .all(|m| m.iter().all(|&a| atoms.info(a).lo >= 0));
+                    && p.terms().iter().all(|&(_, v)| v > 0)
+                    && p.atom_ids().all(|a| atoms.info(a).lo >= 0);
                 if nonneg {
-                    for m in p.terms.keys() {
+                    for (m, _) in p.terms() {
                         if m.len() == 1 {
                             f.pins.insert(m[0], 0);
                         }
@@ -114,8 +111,7 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
                 }
             }
             Rel::NeZero => {
-                if p.terms.len() == 1 && p.terms.values().all(|&v| v != 0) {
-                    let (m, &ca) = p.terms.iter().next().unwrap();
+                if let [(m, ca)] = p.terms()[..] {
                     if m.len() == 1 && (-p.k) % ca == 0 {
                         let excl = (-p.k / ca) as i128;
                         let a = m[0];
@@ -162,7 +158,7 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
             if c.rel != Rel::LeZero {
                 continue;
             }
-            let mut atoms_in: Vec<AtomId> = c.poly.terms.keys().flatten().copied().collect();
+            let mut atoms_in: Vec<AtomId> = c.poly.atom_ids().collect();
             atoms_in.sort();
             atoms_in.dedup();
             for a in atoms_in {
@@ -219,9 +215,9 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
 fn eval_with_pin(p: &Poly, atoms: &Atoms, f: &Facts, a: AtomId, v: i128) -> (i128, i128) {
     let mut lo = p.k as i128;
     let mut hi = p.k as i128;
-    for (m, &c) in &p.terms {
+    for &(m, c) in p.terms() {
         let (mut mlo, mut mhi) = (1i128, 1i128);
-        for &x in m {
+        for &x in &m {
             let (xlo, xhi) = if x == a { (v, v) } else { f.range(x, atoms) };
             let cands = [
                 mlo.saturating_mul(xlo),
@@ -258,7 +254,7 @@ fn isolate_atom(p: &Poly, atoms: &Atoms) -> Option<(AtomId, Poly)> {
 fn isolate_signed_atom(p: &Poly, atoms: &Atoms) -> Option<(AtomId, i64, Poly)> {
     let mut found: Option<(AtomId, i64)> = None;
     let mut rest = Poly::constant(p.k);
-    for (m, &c) in &p.terms {
+    for &(m, c) in p.terms() {
         let lane = m.iter().any(|&a| atoms.info(a).lane);
         if lane {
             if found.is_some() || m.len() != 1 || (c != 1 && c != -1) {
@@ -266,7 +262,7 @@ fn isolate_signed_atom(p: &Poly, atoms: &Atoms) -> Option<(AtomId, i64, Poly)> {
             }
             found = Some((m[0], c));
         } else {
-            rest.terms.insert(m.clone(), c);
+            rest.add_term(m, c);
         }
     }
     found.map(|(a, c)| (a, c, rest))
@@ -290,9 +286,9 @@ pub(super) fn refined_range(
 fn eval_with(p: &Poly, atoms: &Atoms, f: &Facts) -> (i128, i128) {
     let mut lo = p.k as i128;
     let mut hi = p.k as i128;
-    for (m, &c) in &p.terms {
+    for (m, c) in p.terms() {
         let (mlo, mhi) = mono_range(m, atoms, f);
-        let c = c as i128;
+        let c = *c as i128;
         let cands = [mlo.saturating_mul(c), mhi.saturating_mul(c)];
         lo = lo.saturating_add(*cands.iter().min().unwrap());
         hi = hi.saturating_add(*cands.iter().max().unwrap());
@@ -322,11 +318,11 @@ fn mono_range(m: &Monomial, atoms: &Atoms, f: &Facts) -> (i128, i128) {
 fn sym_bounds(lane: &Poly, unif: &Poly, atoms: &Atoms, f: &Facts) -> Option<(Poly, Poly)> {
     let mut lo = unif.clone();
     let mut hi = unif.clone();
-    for (m, &c) in &lane.terms {
+    for &(m, c) in lane.terms() {
         let (blo, bhi) = if m.len() == 1 {
             atom_bounds(m[0], atoms, f)?
         } else {
-            let (nlo, nhi) = mono_range(m, atoms, f);
+            let (nlo, nhi) = mono_range(&m, atoms, f);
             if nlo <= -BIG || nhi >= BIG {
                 return None;
             }
@@ -380,13 +376,8 @@ fn sym_diff_range(
     let mut hi = base;
     let mut extra_lo = 0i128;
     let mut extra_hi = 0i128;
-    let mut keys: Vec<&Monomial> = lane1.terms.keys().chain(lane2.terms.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for m in keys {
-        let c1 = lane1.terms.get(m).copied().unwrap_or(0);
-        let c2 = lane2.terms.get(m).copied().unwrap_or(0);
-        let (lm, um) = split_mono(m, atoms);
+    for (m, c1, c2) in lane1.union_terms(lane2) {
+        let (lm, um) = split_mono(&m, atoms);
         if c1 == c2 && lm.len() == 1 && um.is_empty() {
             let a = lm[0];
             if let Some(&d) = split.get(&a) {
@@ -412,7 +403,7 @@ fn sym_diff_range(
                 if c == 0 {
                     continue;
                 }
-                let (mlo, mhi) = mono_range(m, atoms, f);
+                let (mlo, mhi) = mono_range(&m, atoms, f);
                 let cands = [mlo.saturating_mul(c as i128), mhi.saturating_mul(c as i128)];
                 extra_lo = extra_lo.saturating_add(*cands.iter().min().unwrap());
                 extra_hi = extra_hi.saturating_add(*cands.iter().max().unwrap());
@@ -457,8 +448,8 @@ enum Verdict {
 }
 
 fn split_mono(m: &Monomial, atoms: &Atoms) -> (Monomial, Monomial) {
-    let mut lane = Vec::new();
-    let mut unif = Vec::new();
+    let mut lane = Monomial::ONE;
+    let mut unif = Monomial::ONE;
     for &a in m {
         if atoms.info(a).lane {
             lane.push(a);
@@ -573,13 +564,8 @@ fn check_pair(
     let mut d0 = p1.unif.sub(&p2.unif);
     let mut vars: Vec<Var> = Vec::new();
 
-    let mut keys: Vec<&Monomial> = lane1.terms.keys().chain(lane2.terms.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for m in keys {
-        let c1 = lane1.terms.get(m).copied().unwrap_or(0);
-        let c2 = lane2.terms.get(m).copied().unwrap_or(0);
-        let (lm, um) = split_mono(m, atoms);
+    for (m, c1, c2) in lane1.union_terms(lane2) {
+        let (lm, um) = split_mono(&m, atoms);
         let lane_atom = if lm.len() == 1 { Some(lm[0]) } else { None };
         if c1 == c2 {
             // Matched term: δ = lane(x) − lane(y).
@@ -595,11 +581,7 @@ fn check_pair(
                     if um.is_empty() {
                         d0.k = d0.k.saturating_add(folded);
                     } else if folded != 0 {
-                        let e = d0.terms.entry(um.clone()).or_insert(0);
-                        *e = e.saturating_add(folded);
-                        if *e == 0 {
-                            d0.terms.remove(&um);
-                        }
+                        d0.add_term(um, folded);
                     }
                     continue;
                 }
@@ -621,7 +603,7 @@ fn check_pair(
                 let c = if side1 { c } else { -c };
                 vars.push(Var {
                     c,
-                    umono: um.clone(),
+                    umono: um,
                     lo: l,
                     hi: h,
                     lane_atom,
@@ -658,9 +640,11 @@ fn check_pair(
             if let Some(a) = v.lane_atom {
                 // The atom must appear only as a singleton monomial, so a
                 // fixed δ translates into an exact contribution.
-                let singleton = [&a1.addr, &a2.addr]
-                    .iter()
-                    .all(|p| p.terms.keys().all(|m| !m.contains(&a) || m.len() == 1));
+                let singleton = [&a1.addr, &a2.addr].iter().all(|p| {
+                    p.terms()
+                        .iter()
+                        .all(|(m, _)| !m.contains(&a) || m.len() == 1)
+                });
                 if singleton {
                     split_atoms.push((a, v.lo, v.hi));
                 }
@@ -777,7 +761,7 @@ fn check_pair(
         // e.g. `8·Q·δ + 4·Q` factors as `4Q·(2δ + 1)` — and `2δ + 1` is
         // never zero.
         g = gcd(g, d0.k.unsigned_abs() as i128);
-        for &c in d0.terms.values() {
+        for &(_, c) in d0.terms() {
             g = gcd(g, c.unsigned_abs() as i128);
         }
         if live && g > 1 {
@@ -788,12 +772,12 @@ fn check_pair(
                     continue;
                 }
                 common = Some(match common {
-                    None => v.umono.clone(),
+                    None => v.umono,
                     Some(c) => mono_intersect(&c, &v.umono),
                 });
             }
-            let mut common = common.unwrap_or_default();
-            for m in d0.terms.keys() {
+            let mut common = common.unwrap_or(Monomial::ONE);
+            for (m, _) in d0.terms() {
                 common = mono_intersect(&common, m);
             }
             if d0.k != 0 {
@@ -976,7 +960,7 @@ fn resolve_lid_delta(
 
 /// `true` if some monomial of `p` holds a lane-dependent opaque atom.
 fn has_opaque_lane_atom(p: &Poly, atoms: &Atoms) -> bool {
-    p.terms.keys().flatten().any(|&a| {
+    p.atom_ids().any(|a| {
         let info = atoms.info(a);
         info.lane && matches!(info.kind, AtomKind::Opaque { .. })
     })
@@ -984,13 +968,7 @@ fn has_opaque_lane_atom(p: &Poly, atoms: &Atoms) -> bool {
 
 fn lane_part_is(p: &Poly, lid: AtomId, atoms: &Atoms) -> bool {
     let (lane, _) = p.split_lane(atoms);
-    lane.terms.len() == 1
-        && lane
-            .terms
-            .iter()
-            .next()
-            .map(|(m, &c)| c == 1 && m.len() == 1 && m[0] == lid)
-            .unwrap_or(false)
+    matches!(lane.terms(), [(m, 1)] if m.len() == 1 && m[0] == lid)
 }
 
 fn gcd(a: i128, b: i128) -> i128 {
@@ -1004,8 +982,8 @@ fn gcd(a: i128, b: i128) -> i128 {
 }
 
 fn mono_intersect(a: &Monomial, b: &Monomial) -> Monomial {
-    let mut out = Vec::new();
-    let mut bb = b.clone();
+    let mut out = Monomial::ONE;
+    let mut bb = *b;
     for &x in a {
         if let Some(pos) = bb.iter().position(|&y| y == x) {
             bb.remove(pos);
@@ -1029,18 +1007,18 @@ fn divide_poly(p: &Poly, g: i128, common: &Monomial) -> Option<Poly> {
         }
         out.k = p.k / g64;
     }
-    for (m, &c) in &p.terms {
+    for (m, c) in p.terms() {
         if c % g64 != 0 {
             return None;
         }
         let stripped = strip_factor(m, common)?;
-        out.terms.insert(stripped, c / g64);
+        out.add_term(stripped, c / g64);
     }
     Some(out)
 }
 
 fn strip_factor(m: &Monomial, f: &Monomial) -> Option<Monomial> {
-    let mut rest = m.clone();
+    let mut rest = *m;
     for &x in f {
         let pos = rest.iter().position(|&y| y == x)?;
         rest.remove(pos);
