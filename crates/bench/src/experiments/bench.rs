@@ -2,8 +2,10 @@
 //! tracked baseline.
 //!
 //! Times warm iterations of a fixed kernel set covering the interpreter's
-//! hot paths (ALU, LDS/barrier, and memory-bound kernels, original and
-//! transformed), then writes `BENCH_sim.json` to the working directory.
+//! hot paths (ALU, LDS/barrier, and memory-bound kernels), each original
+//! and under three RMT postures — Intra+LDS, Inter (whose communication
+//! atomics and polling are the paper's blow-up case) and Selective-50 —
+//! then writes `BENCH_sim.json` to the working directory.
 //! When a previous `BENCH_sim.json` is already present (the committed
 //! baseline), the report prints the delta and the experiment **fails** on
 //! a regression worse than 25% — CI runs this at small scale on every
@@ -99,9 +101,11 @@ struct CellResult {
 /// reference on the memory-bound kernels.
 pub fn bench(cfg: &ExpConfig) -> Result<String, String> {
     let kernels: [&'static str; 5] = ["R", "MM", "PS", "BlkSch", "FWT"];
-    let flavors: [(&'static str, Option<TransformOptions>); 2] = [
+    let flavors: [(&'static str, Option<TransformOptions>); 4] = [
         ("Original", None),
         ("Intra+LDS", Some(TransformOptions::intra_plus_lds())),
+        ("Inter", Some(TransformOptions::inter())),
+        ("Selective-50", Some(TransformOptions::selective(50))),
     ];
 
     let mut cells: Vec<CellResult> = Vec::new();

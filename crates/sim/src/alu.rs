@@ -5,11 +5,12 @@
 //! integer types (GPU convention) and follow IEEE-754 for floats.
 //!
 //! The scalar `eval_*` functions are the only definition of what an
-//! operator does to one lane. The `eval_*_lanes` forms apply one to a whole
-//! wavefront: they match the operator once and then run a loop in which
-//! the scalar function is called with that operator as a constant, so the
-//! per-lane dispatch folds away while the semantics stay defined in one
-//! place.
+//! operator does to one lane. The `*_fn` resolvers turn an operator (and
+//! type) into a lane function: a loop in which the scalar function is
+//! called with that operator as a constant, so the per-lane dispatch folds
+//! away while the semantics stay defined in one place. The compiler
+//! resolves each ALU op's lane function once per kernel; the public
+//! `eval_*_lanes` forms resolve and run one in a single call.
 
 use rmt_ir::{BinOp, CmpOp, Ty, UnOp};
 
@@ -67,6 +68,65 @@ fn map2(
     each_lane(mask, |l| out[l] = f(a[l], b[l]));
 }
 
+/// A two-operand lane function: `out[l] = f(a[l], b[l])` on every lane set
+/// in the mask; the other lanes keep their value.
+pub(crate) type Lanes2 = fn(&[u32; LANES], &[u32; LANES], u64, &mut [u32; LANES]);
+
+/// A one-operand lane function: `out[l] = f(a[l])` on every lane set in the
+/// mask; the other lanes keep their value.
+pub(crate) type Lanes1 = fn(&[u32; LANES], u64, &mut [u32; LANES]);
+
+/// The lane function of binary operator `op` at type `ty`. The pair is
+/// resolved here once, when a kernel is compiled, into one monomorphic loop
+/// that calls [`eval_bin`] with a constant operator.
+pub(crate) fn bin_fn(op: BinOp, ty: Ty) -> Lanes2 {
+    macro_rules! arms {
+        ($($t:ident: $($o:ident)*;)*) => {
+            match (ty, op) {
+                $($((Ty::$t, BinOp::$o) => |a, b, mask, out| {
+                    map2(a, b, mask, out, |x, y| eval_bin(BinOp::$o, Ty::$t, x, y))
+                },)*)*
+            }
+        };
+    }
+    arms! {
+        U32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+        I32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+        F32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
+    }
+}
+
+/// The lane function of comparison `op` at type `ty`, resolved like
+/// [`bin_fn`].
+pub(crate) fn cmp_fn(op: CmpOp, ty: Ty) -> Lanes2 {
+    macro_rules! arms {
+        ($($t:ident: $($o:ident)*;)*) => {
+            match (ty, op) {
+                $($((Ty::$t, CmpOp::$o) => |a, b, mask, out| {
+                    map2(a, b, mask, out, |x, y| eval_cmp(CmpOp::$o, Ty::$t, x, y))
+                },)*)*
+            }
+        };
+    }
+    arms! {
+        U32: Eq Ne Lt Le Gt Ge;
+        I32: Eq Ne Lt Le Gt Ge;
+        F32: Eq Ne Lt Le Gt Ge;
+    }
+}
+
+/// The lane function of unary operator `op`, resolved like [`bin_fn`].
+pub(crate) fn un_fn(op: UnOp) -> Lanes1 {
+    macro_rules! arms {
+        ($($o:ident)*) => {
+            match op {
+                $(UnOp::$o => |a, mask, out| map1(a, mask, out, |x| eval_un(UnOp::$o, x)),)*
+            }
+        };
+    }
+    arms!(Not Neg Abs Exp Log Sqrt Rsqrt Sin Cos Floor F32ToI32 I32ToF32 U32ToF32 F32ToU32)
+}
+
 /// [`eval_bin`] on every lane set in `mask`: `out[l] = a[l] op b[l]`.
 /// Lanes outside `mask` keep their value.
 pub fn eval_bin_lanes(
@@ -77,20 +137,7 @@ pub fn eval_bin_lanes(
     mask: u64,
     out: &mut [u32; LANES],
 ) {
-    macro_rules! arms {
-        ($($t:ident: $($o:ident)*;)*) => {
-            match (ty, op) {
-                $($((Ty::$t, BinOp::$o) => {
-                    map2(a, b, mask, out, |x, y| eval_bin(BinOp::$o, Ty::$t, x, y))
-                })*)*
-            }
-        };
-    }
-    arms! {
-        U32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
-        I32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
-        F32: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr;
-    }
+    bin_fn(op, ty)(a, b, mask, out)
 }
 
 /// [`eval_cmp`] on every lane set in `mask`: `out[l] = (a[l] op b[l]) as
@@ -103,33 +150,13 @@ pub fn eval_cmp_lanes(
     mask: u64,
     out: &mut [u32; LANES],
 ) {
-    macro_rules! arms {
-        ($($t:ident: $($o:ident)*;)*) => {
-            match (ty, op) {
-                $($((Ty::$t, CmpOp::$o) => {
-                    map2(a, b, mask, out, |x, y| eval_cmp(CmpOp::$o, Ty::$t, x, y))
-                })*)*
-            }
-        };
-    }
-    arms! {
-        U32: Eq Ne Lt Le Gt Ge;
-        I32: Eq Ne Lt Le Gt Ge;
-        F32: Eq Ne Lt Le Gt Ge;
-    }
+    cmp_fn(op, ty)(a, b, mask, out)
 }
 
 /// [`eval_un`] on every lane set in `mask`: `out[l] = op a[l]`. Lanes
 /// outside `mask` keep their value.
 pub fn eval_un_lanes(op: UnOp, a: &[u32; LANES], mask: u64, out: &mut [u32; LANES]) {
-    macro_rules! arms {
-        ($($o:ident)*) => {
-            match op {
-                $(UnOp::$o => map1(a, mask, out, |x| eval_un(UnOp::$o, x)),)*
-            }
-        };
-    }
-    arms!(Not Neg Abs Exp Log Sqrt Rsqrt Sin Cos Floor F32ToI32 I32ToF32 U32ToF32 F32ToU32);
+    un_fn(op)(a, mask, out)
 }
 
 /// Evaluates a binary operator on two 32-bit patterns at type `ty`.

@@ -5,10 +5,11 @@
 //! executes. This mirrors how GCN's scalar unit manipulates the EXEC mask
 //! around divergent control flow.
 
+use crate::alu::{self, LANES};
 use crate::error::SimError;
 use rmt_ir::analysis::uniformity::{is_scalar_inst, uniform_regs};
 use rmt_ir::analysis::{instruction_mix, register_pressure, InstMix};
-use rmt_ir::{Block, Inst, Kernel, Param, Reg, RegSet};
+use rmt_ir::{AtomicOp, Block, Builtin, Inst, Kernel, MemSpace, Param, Reg, RegSet, SwizzleMode};
 
 /// A lowered instruction with resolved control targets.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,16 +58,75 @@ impl FlatOp {
     }
 }
 
-/// Pre-decoded per-op metadata for the interpreter's issue loop.
-///
-/// The hot path needs, for every dynamic instruction, the set of source
-/// registers (to gate issue on in-flight loads, GCN s_waitcnt style) and
-/// whether the op runs at transcendental rate. Re-deriving these by
-/// matching [`FlatOp`]/[`Inst`] per wavefront issue — and collecting
-/// sources into a fresh `Vec` — dominated the interpreter profile, so
-/// [`compile`] decodes them once into this flat, copyable record.
+/// What the interpreter does for one flat op: the instruction kind with
+/// its operator, type, address space and control targets resolved, in one
+/// enum, so that a wave instruction costs one dispatch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OpMeta {
+pub(crate) enum Code {
+    /// [`FlatOp::IfBegin`].
+    IfBegin { else_pc: usize },
+    /// [`FlatOp::Else`].
+    Else { end_pc: usize },
+    /// [`FlatOp::EndIf`].
+    EndIf,
+    /// [`FlatOp::LoopBegin`].
+    LoopBegin,
+    /// [`FlatOp::LoopTest`].
+    LoopTest { end_pc: usize },
+    /// [`FlatOp::LoopEnd`].
+    LoopEnd { begin_pc: usize },
+    /// [`Inst::Const`] with its bits.
+    Const(u32),
+    /// [`Inst::ReadParam`] with its parameter index.
+    Param(usize),
+    /// [`Inst::ReadBuiltin`].
+    Builtin(Builtin),
+    /// [`Inst::Mov`].
+    Mov,
+    /// [`Inst::Unary`] as its lane function.
+    Alu1(alu::Lanes1),
+    /// [`Inst::Binary`] or [`Inst::Cmp`] as the lane function of its
+    /// operator at its type.
+    Alu2(alu::Lanes2),
+    /// [`Inst::Select`].
+    Select,
+    /// [`Inst::Swizzle`].
+    Swizzle(SwizzleMode),
+    /// Global [`Inst::Load`].
+    LoadGlobal,
+    /// LDS [`Inst::Load`].
+    LoadLds,
+    /// Global [`Inst::Store`].
+    StoreGlobal,
+    /// LDS [`Inst::Store`].
+    StoreLds,
+    /// Global [`Inst::Atomic`]; `ret` when it writes the old value back.
+    AtomicGlobal { op: AtomicOp, ret: bool },
+    /// LDS [`Inst::Atomic`]; `ret` when it writes the old value back.
+    AtomicLds { op: AtomicOp, ret: bool },
+    /// [`Inst::Barrier`].
+    Barrier,
+}
+
+/// One flat op decoded for the interpreter's issue loop.
+///
+/// [`compile`] decodes each op once into this copyable record, so the
+/// interpreter matches neither [`FlatOp`] nor [`Inst`] per wave issue:
+/// the [`Code`] to dispatch on, the register lane offsets its operands
+/// live at, the source registers that gate issue on in-flight loads (GCN
+/// `s_waitcnt` style), and its issue rate and unit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decoded {
+    /// What the op does.
+    pub code: Code,
+    /// Lane offset (`register × LANES`) of the destination register; 0
+    /// when the op writes none.
+    pub dst: usize,
+    /// Lane offsets of the operands, in operand order: `[a, b]`,
+    /// `[cond, if_true, if_false]`, `[addr, value]`, or `[addr, value,
+    /// cmp]` for an atomic, whose `cmp` slot repeats `value` unless it is
+    /// a compare-exchange.
+    pub src: [usize; 3],
     /// Source registers read by the op (only the first `nsrcs` entries
     /// are meaningful). No instruction reads more than three registers
     /// (`Select` and `CmpXchg` atomics are the widest).
@@ -80,32 +140,84 @@ pub(crate) struct OpMeta {
     pub scalar: bool,
 }
 
-impl OpMeta {
-    fn of(op: &FlatOp, uniform: &RegSet) -> OpMeta {
-        let mut meta = OpMeta {
-            srcs: [Reg(0); 3],
-            nsrcs: 0,
-            transcendental: false,
-            scalar: true, // mask manipulation runs on the scalar path
-        };
-        let mut push = |r: Reg| {
-            let n = meta.nsrcs as usize;
-            assert!(n < 3, "instruction reads more than 3 registers");
-            meta.srcs[n] = r;
-            meta.nsrcs += 1;
-        };
-        match op {
-            FlatOp::Op(inst) => {
-                inst.for_each_src(&mut push);
-                if let Inst::Unary { op, .. } = inst {
-                    meta.transcendental = op.is_transcendental();
-                }
-                meta.scalar = is_scalar_inst(inst, uniform);
+/// The code of a non-control instruction.
+fn code_of(inst: &Inst) -> Code {
+    match *inst {
+        Inst::Const { bits, .. } => Code::Const(bits),
+        Inst::ReadParam { index, .. } => Code::Param(index),
+        Inst::ReadBuiltin { builtin, .. } => Code::Builtin(builtin),
+        Inst::Mov { .. } => Code::Mov,
+        Inst::Unary { op, .. } => Code::Alu1(alu::un_fn(op)),
+        Inst::Binary { op, ty, .. } => Code::Alu2(alu::bin_fn(op, ty)),
+        Inst::Cmp { op, ty, .. } => Code::Alu2(alu::cmp_fn(op, ty)),
+        Inst::Select { .. } => Code::Select,
+        Inst::Swizzle { mode, .. } => Code::Swizzle(mode),
+        Inst::Load { space, .. } => match space {
+            MemSpace::Global => Code::LoadGlobal,
+            MemSpace::Local => Code::LoadLds,
+        },
+        Inst::Store { space, .. } => match space {
+            MemSpace::Global => Code::StoreGlobal,
+            MemSpace::Local => Code::StoreLds,
+        },
+        Inst::Atomic { dst, space, op, .. } => {
+            let ret = dst.is_some();
+            match space {
+                MemSpace::Global => Code::AtomicGlobal { op, ret },
+                MemSpace::Local => Code::AtomicLds { op, ret },
             }
-            FlatOp::IfBegin { cond, .. } | FlatOp::LoopTest { cond, .. } => push(*cond),
-            _ => {}
         }
-        meta
+        Inst::Barrier => Code::Barrier,
+        Inst::If { .. } | Inst::While { .. } => {
+            unreachable!("control flow is lowered before decoding")
+        }
+    }
+}
+
+impl Decoded {
+    fn of(op: &FlatOp, uniform: &RegSet) -> Decoded {
+        let mut srcs = [Reg(0); 3];
+        let mut nsrcs = 0u8;
+        let mut push = |r: Reg| {
+            let n = nsrcs as usize;
+            assert!(n < 3, "instruction reads more than 3 registers");
+            srcs[n] = r;
+            nsrcs += 1;
+        };
+        let (code, inst) = match *op {
+            FlatOp::Op(ref inst) => {
+                inst.for_each_src(&mut push);
+                (code_of(inst), Some(inst))
+            }
+            FlatOp::IfBegin { cond, else_pc, .. } => {
+                push(cond);
+                (Code::IfBegin { else_pc }, None)
+            }
+            FlatOp::Else { end_pc } => (Code::Else { end_pc }, None),
+            FlatOp::EndIf => (Code::EndIf, None),
+            FlatOp::LoopBegin { .. } => (Code::LoopBegin, None),
+            FlatOp::LoopTest { cond, end_pc } => {
+                push(cond);
+                (Code::LoopTest { end_pc }, None)
+            }
+            FlatOp::LoopEnd { begin_pc } => (Code::LoopEnd { begin_pc }, None),
+        };
+        let mut src = srcs.map(|r| r.0 as usize * LANES);
+        if let Some(Inst::Atomic { op, .. }) = inst {
+            if !matches!(op, AtomicOp::CmpXchg { .. }) {
+                src[2] = src[1];
+            }
+        }
+        Decoded {
+            code,
+            dst: inst.and_then(Inst::dst).map_or(0, |r| r.0 as usize * LANES),
+            src,
+            srcs,
+            nsrcs,
+            transcendental: matches!(inst, Some(Inst::Unary { op, .. }) if op.is_transcendental()),
+            // Mask manipulation runs on the scalar path.
+            scalar: inst.is_none_or(|inst| is_scalar_inst(inst, uniform)),
+        }
     }
 }
 
@@ -132,20 +244,20 @@ pub struct CompiledKernel {
     /// map back to that `if`/`while` instruction. This is what per-PC
     /// profiles use to attribute ticks to source instructions.
     pub lines: Vec<u32>,
-    /// Per-op pre-decoded issue metadata (parallel to `ops`).
-    pub(crate) meta: Vec<OpMeta>,
+    /// Per-op decoded form the interpreter runs (parallel to `ops`).
+    pub(crate) decoded: Vec<Decoded>,
 }
 
 impl CompiledKernel {
     /// Would op `pc` issue on the scalar unit?
     pub fn issues_scalar(&self, pc: usize) -> bool {
-        self.meta[pc].scalar
+        self.decoded[pc].scalar
     }
 
     /// The registers op `pc` reads, in operand order.
     pub fn op_srcs(&self, pc: usize) -> &[Reg] {
-        let m = &self.meta[pc];
-        &m.srcs[..m.nsrcs as usize]
+        let d = &self.decoded[pc];
+        &d.srcs[..d.nsrcs as usize]
     }
 }
 
@@ -228,7 +340,7 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, SimError> {
     debug_assert_eq!(ops.len(), lines.len());
 
     let uniform = uniform_regs(kernel);
-    let meta = ops.iter().map(|op| OpMeta::of(op, &uniform)).collect();
+    let decoded = ops.iter().map(|op| Decoded::of(op, &uniform)).collect();
     Ok(CompiledKernel {
         name: kernel.name.clone(),
         params: kernel.params.clone(),
@@ -238,7 +350,7 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, SimError> {
         nregs: kernel.next_reg.max(1),
         mix: instruction_mix(kernel),
         lines,
-        meta,
+        decoded,
     })
 }
 
@@ -300,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn meta_predecodes_sources_per_op() {
+    fn decode_resolves_sources_per_op() {
         let mut b = KernelBuilder::new("k");
         let gid = b.global_id(0);
         let two = b.const_u32(2);
@@ -309,22 +421,25 @@ mod tests {
             let _ = b.const_u32(1);
         });
         let ck = compile(&b.finish()).unwrap();
-        assert_eq!(ck.meta.len(), ck.ops.len());
-        for (op, meta) in ck.ops.iter().zip(&ck.meta) {
+        assert_eq!(ck.decoded.len(), ck.ops.len());
+        for (op, d) in ck.ops.iter().zip(&ck.decoded) {
             let mut want = Vec::new();
             match op {
                 FlatOp::Op(inst) => inst.srcs(&mut want),
                 FlatOp::IfBegin { cond, .. } | FlatOp::LoopTest { cond, .. } => want.push(*cond),
                 _ => {}
             }
-            assert_eq!(&meta.srcs[..meta.nsrcs as usize], want.as_slice());
+            assert_eq!(&d.srcs[..d.nsrcs as usize], want.as_slice());
+            for (r, &off) in want.iter().zip(&d.src) {
+                assert_eq!(off, r.0 as usize * LANES, "lane offset of {r}");
+            }
+            if let FlatOp::Op(inst) = op {
+                let dst = inst.dst().map_or(0, |r| r.0 as usize * LANES);
+                assert_eq!(d.dst, dst);
+            }
         }
         // The add reads both operands; the IfBegin reads the condition.
-        let add = ck
-            .meta
-            .iter()
-            .find(|m| m.nsrcs == 2)
-            .expect("binary op meta");
+        let add = ck.decoded.iter().find(|d| d.nsrcs == 2).expect("binary op");
         assert_eq!(add.srcs[..2], [gid, two]);
     }
 
@@ -394,7 +509,7 @@ mod tests {
         let k = b.finish();
         let ck = compile(&k).unwrap();
         // ops: grp, two, mul, gid, add
-        let scalar: Vec<bool> = ck.meta.iter().map(|m| m.scalar).collect();
+        let scalar: Vec<bool> = ck.decoded.iter().map(|d| d.scalar).collect();
         assert_eq!(scalar, vec![true, true, true, false, false]);
     }
 

@@ -15,7 +15,7 @@
 //! watchdog, and a different cache geometry.
 
 use gcn_sim::{Arg, Device, DeviceConfig, LaunchConfig, LaunchStats, SimEngine, SimError};
-use rmt_ir::{Kernel, KernelBuilder};
+use rmt_ir::{Inst, Kernel, KernelBuilder, Ty};
 
 const N: usize = 256;
 const LOCAL: usize = 128;
@@ -259,4 +259,47 @@ fn reset_gives_the_addresses_of_a_new_device() {
         vec![0; 750],
         "a new buffer reads as zeros"
     );
+}
+
+/// A register first written under a partial EXEC mask reads zero in the
+/// other lanes, also when the register file it lives in last held the
+/// wide kernel's values.
+#[test]
+fn a_register_first_written_under_a_partial_mask_reads_zero_elsewhere() {
+    let mut b = KernelBuilder::new("partial");
+    let _inp = b.buffer_param("in");
+    let out = b.buffer_param("out");
+    let gid = b.global_id(0);
+    let two = b.const_u32(2);
+    let odd = b.rem_u32(gid, two);
+    let x = b.fresh();
+    b.if_(odd, |b| {
+        b.emit(Inst::Const {
+            dst: x,
+            ty: Ty::U32,
+            bits: 7,
+        })
+    });
+    let oa = b.elem_addr(out, gid);
+    b.store_global(oa, x);
+    let partial = b.finish();
+
+    for engine in [SimEngine::Event, SimEngine::LockStep] {
+        let mut cfg = DeviceConfig::small_test();
+        cfg.engine = engine;
+        let mut dev = Device::new(cfg);
+        let inp = dev.create_buffer(N as u32 * 4);
+        let out = dev.create_buffer(N as u32 * 4);
+        dev.write_u32s(inp, &[0x1234_5678; N]);
+        for k in [wide_kernel(), partial.clone()] {
+            let launch = LaunchConfig::new_1d(N, LOCAL)
+                .arg(Arg::Buffer(inp))
+                .arg(Arg::Buffer(out));
+            dev.launch(&k, &launch).unwrap();
+        }
+        let got = dev.read_u32s(out);
+        for (g, &v) in got.iter().enumerate() {
+            assert_eq!(v, if g % 2 == 1 { 7 } else { 0 }, "{engine:?}, item {g}");
+        }
+    }
 }

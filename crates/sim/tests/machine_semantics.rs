@@ -1,8 +1,8 @@
 //! Functional SIMT semantics of the simulator: divergence, loops, barriers,
 //! LDS, atomics, swizzles, and the non-coherent L1.
 
-use gcn_sim::{Arg, Device, DeviceConfig, LaunchConfig, SimError};
-use rmt_ir::{AtomicOp, KernelBuilder, MemSpace, SwizzleMode};
+use gcn_sim::{alu, Arg, Device, DeviceConfig, LaunchConfig, SimEngine, SimError};
+use rmt_ir::{AtomicOp, BinOp, CmpOp, Inst, KernelBuilder, MemSpace, Reg, SwizzleMode, Ty, UnOp};
 
 fn device() -> Device {
     Device::new(DeviceConfig::small_test())
@@ -611,4 +611,222 @@ fn local_ids_delinearize_in_three_d() {
         counts[v as usize] += 1;
     }
     assert!(counts.iter().all(|&c| c == 8), "{counts:?}");
+}
+
+/// Work-items of the aliasing kernels: two full waves.
+const ALIAS_ITEMS: u32 = 128;
+
+/// The three per-item values the aliasing kernels start from, in
+/// registers `x`, `y` and `z`: distinct in every lane, and `z` is zero in
+/// some lanes so that it can serve as a select condition.
+fn alias_values(g: u32) -> [u32; 3] {
+    [g.wrapping_mul(0x9E37_79B1) ^ 0x5BD1_E995, g * 7 + 3, g % 5]
+}
+
+/// Lanes where the partially masked kernels run the instruction.
+fn alias_active(g: u32) -> bool {
+    !g.is_multiple_of(3)
+}
+
+/// Builds `x`, `y`, `z` (see [`alias_values`]), runs `inst(x, y, z)` —
+/// one instruction whose destination is one of its own sources — under a
+/// full EXEC mask or a divergent `if` (`partial`), and stores `x` per
+/// item. Runs it on both engines and returns what `x` held, checking that
+/// the engines agree.
+fn run_aliased(inst: impl Fn(Reg, Reg, Reg) -> Inst, partial: bool) -> Vec<u32> {
+    let mut b = KernelBuilder::new("alias");
+    let out = b.buffer_param("out");
+    let gid = b.global_id(0);
+    let (c1, c2, seven, three, five) = (
+        b.const_u32(0x9E37_79B1),
+        b.const_u32(0x5BD1_E995),
+        b.const_u32(7),
+        b.const_u32(3),
+        b.const_u32(5),
+    );
+    let m = b.mul_u32(gid, c1);
+    let x = b.xor_u32(m, c2);
+    let m = b.mul_u32(gid, seven);
+    let y = b.add_u32(m, three);
+    let z = b.rem_u32(gid, five);
+    let zero = b.const_u32(0);
+    let r = b.rem_u32(gid, three);
+    let active = b.ne_u32(r, zero);
+    if partial {
+        b.if_(active, |b| b.emit(inst(x, y, z)));
+    } else {
+        b.emit(inst(x, y, z));
+    }
+    let addr = b.elem_addr(out, gid);
+    b.store_global(addr, x);
+    let k = b.finish();
+
+    let mut results = Vec::new();
+    for engine in [SimEngine::Event, SimEngine::LockStep] {
+        let mut cfg = DeviceConfig::small_test();
+        cfg.engine = engine;
+        let mut dev = Device::new(cfg);
+        let buf = dev.create_buffer(ALIAS_ITEMS * 4);
+        dev.launch(
+            &k,
+            &LaunchConfig::new_1d(ALIAS_ITEMS as usize, 64).arg(Arg::Buffer(buf)),
+        )
+        .unwrap();
+        results.push(dev.read_u32s(buf));
+    }
+    assert_eq!(results[0], results[1], "the engines disagree");
+    results.pop().unwrap()
+}
+
+/// Checks `inst` against `want(values, lane)`, the per-lane result the
+/// scalar ALU gives on the operands as they were before the instruction,
+/// under both masks; inactive lanes keep `x`.
+fn check_aliased(
+    what: &str,
+    inst: impl Fn(Reg, Reg, Reg) -> Inst,
+    want: impl Fn(&dyn Fn(u32) -> [u32; 3], u32) -> u32,
+) {
+    for partial in [false, true] {
+        let got = run_aliased(&inst, partial);
+        for g in 0..ALIAS_ITEMS {
+            let expect = if partial && !alias_active(g) {
+                alias_values(g)[0]
+            } else {
+                want(&alias_values, g)
+            };
+            assert_eq!(
+                got[g as usize], expect,
+                "{what}, partial {partial}, item {g}"
+            );
+        }
+    }
+}
+
+#[test]
+fn destinations_aliasing_their_sources_read_the_old_values() {
+    // Operand patterns over (x, y): dst == a, dst == b, dst == a == b.
+    type Pattern = (
+        &'static str,
+        fn(Reg, Reg) -> (Reg, Reg),
+        fn([u32; 3]) -> (u32, u32),
+    );
+    let patterns: [Pattern; 3] = [
+        ("dst == a", |x, y| (x, y), |v| (v[0], v[1])),
+        ("dst == b", |x, y| (y, x), |v| (v[1], v[0])),
+        ("dst == a == b", |x, _| (x, x), |v| (v[0], v[0])),
+    ];
+    for (pat, regs, vals) in patterns {
+        for op in [BinOp::Sub, BinOp::Shl, BinOp::Max] {
+            check_aliased(
+                &format!("{op:?} {pat}"),
+                |x, y, _| {
+                    let (a, b) = regs(x, y);
+                    Inst::Binary {
+                        dst: x,
+                        op,
+                        ty: Ty::U32,
+                        a,
+                        b,
+                    }
+                },
+                |v, g| {
+                    let (a, b) = vals(v(g));
+                    alu::eval_bin(op, Ty::U32, a, b)
+                },
+            );
+        }
+        for op in [CmpOp::Lt, CmpOp::Ge] {
+            check_aliased(
+                &format!("{op:?} {pat}"),
+                |x, y, _| {
+                    let (a, b) = regs(x, y);
+                    Inst::Cmp {
+                        dst: x,
+                        op,
+                        ty: Ty::U32,
+                        a,
+                        b,
+                    }
+                },
+                |v, g| {
+                    let (a, b) = vals(v(g));
+                    alu::eval_cmp(op, Ty::U32, a, b)
+                },
+            );
+        }
+    }
+    for op in [UnOp::Not, UnOp::Neg] {
+        check_aliased(
+            &format!("{op:?} dst == a"),
+            |x, _, _| Inst::Unary { dst: x, op, a: x },
+            |v, g| alu::eval_un(op, v(g)[0]),
+        );
+    }
+    // Select over (cond, if_true, if_false), with x in each slot and in
+    // all three; z is the condition otherwise.
+    type Sel = (
+        &'static str,
+        fn(Reg, Reg, Reg) -> [Reg; 3],
+        fn([u32; 3]) -> [u32; 3],
+    );
+    let selects: [Sel; 4] = [
+        ("dst == cond", |x, y, _| [x, y, x], |v| [v[0], v[1], v[0]]),
+        (
+            "dst == if_true",
+            |x, y, z| [z, x, y],
+            |v| [v[2], v[0], v[1]],
+        ),
+        (
+            "dst == if_false",
+            |x, y, z| [z, y, x],
+            |v| [v[2], v[1], v[0]],
+        ),
+        (
+            "dst == all three",
+            |x, _, _| [x, x, x],
+            |v| [v[0], v[0], v[0]],
+        ),
+    ];
+    for (pat, regs, vals) in selects {
+        check_aliased(
+            &format!("Select {pat}"),
+            |x, y, z| {
+                let [cond, if_true, if_false] = regs(x, y, z);
+                Inst::Select {
+                    dst: x,
+                    cond,
+                    if_true,
+                    if_false,
+                }
+            },
+            |v, g| {
+                let [c, t, f] = vals(v(g));
+                if c != 0 {
+                    t
+                } else {
+                    f
+                }
+            },
+        );
+    }
+    // A swizzle reads every source lane before writing any, inactive
+    // source lanes included.
+    for mode in [
+        SwizzleMode::SwapPairs,
+        SwizzleMode::DupEven,
+        SwizzleMode::DupOdd,
+    ] {
+        check_aliased(
+            &format!("Swizzle {mode} dst == src"),
+            |x, _, _| Inst::Swizzle {
+                dst: x,
+                src: x,
+                mode,
+            },
+            |v, g| {
+                let lane = (g % 64) as usize;
+                v(g - g % 64 + mode.source_lane(lane) as u32)[0]
+            },
+        );
+    }
 }
