@@ -7,6 +7,7 @@
 //! repro list                     # list experiment ids
 //! ```
 
+use rmt_bench::cells::CellStore;
 use rmt_bench::experiments::{self, ALL_IDS};
 use rmt_bench::{report, ExpConfig};
 use rmt_kernels::Scale;
@@ -242,10 +243,12 @@ fn main() -> ExitCode {
         });
     }
 
+    // One store per invocation: a cell two experiments share runs once.
+    let mut cells = CellStore::new();
     let mut failed = false;
     for id in ids {
         let t0 = Instant::now();
-        match experiments::run(&id, &cfg) {
+        match experiments::run(&id, &cfg, &mut cells) {
             Ok(report) => {
                 if cfg.json {
                     // Machine-readable mode: the report itself, no banners.

@@ -10,60 +10,31 @@
 //!   and device scaling (CU count) — the lever behind the paper's
 //!   CU-under-utilization findings for NB and PS.
 
+use crate::cells::{CellKey, CellStore, Posture, Posture::*};
 use crate::table::{x, Table};
 use crate::ExpConfig;
+use gcn_sim::DeviceConfig;
 use rmt_core::TransformOptions;
-use rmt_kernels::{all, by_abbrev, run_duplicated, run_original, run_rmt};
-
-/// One baseline-experiment run kind (four cells per kernel).
-#[derive(Clone, Copy)]
-enum BaselineRun {
-    Orig,
-    Naive,
-    Intra,
-    Inter,
-}
 
 /// The `baseline` experiment: naive duplication vs the RMT flavors.
-pub fn baseline(cfg: &ExpConfig) -> Result<String, String> {
-    use BaselineRun::*;
-    let suite = all();
-    let cells: Vec<(&dyn rmt_kernels::Benchmark, BaselineRun)> = suite
-        .iter()
-        .flat_map(|b| [Orig, Naive, Intra, Inter].map(|k| (b.as_ref(), k)))
-        .collect();
-    let runs = gcn_sim::pool::map(cfg.jobs, cells, |(b, kind)| {
-        let fail = |e| format!("{}: {e}", b.abbrev());
-        match kind {
-            Orig => run_original(b, cfg.scale, &cfg.device, &|c| c),
-            Naive => run_duplicated(b, cfg.scale, &cfg.device),
-            Intra => run_rmt(
-                b,
-                cfg.scale,
-                &cfg.device,
-                &TransformOptions::intra_plus_lds(),
-            ),
-            Inter => run_rmt(b, cfg.scale, &cfg.device, &TransformOptions::inter()),
-        }
-        .map_err(fail)
-    });
+pub fn baseline(cfg: &ExpConfig, cells: &mut CellStore) -> Result<String, String> {
+    let postures = [
+        Original,
+        Duplicated,
+        Rmt(TransformOptions::intra_plus_lds()),
+        Rmt(TransformOptions::inter()),
+    ];
     let mut t = Table::new(&["kernel", "naive 2x launch", "Intra+LDS", "Inter"]);
-    for (b, chunk) in suite.iter().zip(runs.chunks_exact(4)) {
-        let cell = |i: usize| chunk[i].as_ref().map_err(String::clone);
-        let base = cell(0)?.stats.cycles as f64;
-        let naive = cell(1)?;
-        if naive.detections != 0 {
+    for (kernel, r) in cells.suite(cfg, "baseline", &postures)? {
+        if r[1].detections != 0 {
             return Err(format!(
-                "{}: naive duplication disagreed without faults",
-                b.abbrev()
+                "{kernel}: naive duplication disagreed without faults"
             ));
         }
-        t.row(vec![
-            b.abbrev().into(),
-            x(naive.stats.cycles as f64 / base),
-            x(cell(2)?.stats.cycles as f64 / base),
-            x(cell(3)?.stats.cycles as f64 / base),
-        ]);
+        let base = r[0].stats.cycles as f64;
+        let mut row = vec![kernel.to_string()];
+        row.extend(r[1..].iter().map(|run| x(run.stats.cycles as f64 / base)));
+        t.row(row);
     }
     Ok(format!(
         "Baseline: naive kernel-launch duplication (host compares outputs)\n\
@@ -74,161 +45,118 @@ pub fn baseline(cfg: &ExpConfig) -> Result<String, String> {
     ))
 }
 
+/// One sweep: for each of `values`, `kernel` under each of `postures` on a
+/// device `edit` sets to that value.
+fn sweep<T: Copy>(
+    cfg: &ExpConfig,
+    values: &[T],
+    kernel: &'static str,
+    postures: &[Posture],
+    edit: impl Fn(&mut DeviceConfig, T),
+) -> Vec<Vec<CellKey>> {
+    let key = |p, v| CellKey::new(cfg, kernel, p).on(|d| edit(d, v));
+    let row = |v| postures.iter().map(|&p| key(p, v)).collect();
+    values.iter().map(|&v| row(v)).collect()
+}
+
 /// The `ablation` experiment: machine-model design-choice sensitivity.
-pub fn ablation(cfg: &ExpConfig) -> Result<String, String> {
+/// Every cell of the four sweeps is filled in one fan-out.
+pub fn ablation(cfg: &ExpConfig, cells: &mut CellStore) -> Result<String, String> {
+    let (intra, inter) = (
+        Rmt(TransformOptions::intra_plus_lds()),
+        Rmt(TransformOptions::inter()),
+    );
+    let banks = [1usize, 2, 4, 8, 16];
+    let a = sweep(cfg, &banks, "BlkSch", &[Original, inter], |d, n| {
+        d.l2_banks = n
+    });
+    let lines = [2u64, 8, 16, 64];
+    let b = sweep(cfg, &lines, "FWT", &[Original], |d, n| {
+        d.lat.write_buffer_lines = n
+    });
+    let caps = [16usize, 8, 4, 2];
+    let c = sweep(cfg, &caps, "BinS", &[Original, intra], |d, n| {
+        d.max_groups_per_cu = n.min(d.max_groups_per_cu)
+    });
+    let cus = [4usize, 8, 12, 24];
+    let num_cus = |d: &mut DeviceConfig, n| d.num_cus = n;
+    let nb = sweep(cfg, &cus, "NB", &[Original, intra, inter], num_cus);
+    let qrs = sweep(cfg, &cus, "QRS", &[Original, inter], num_cus);
+    let keys = [
+        a.concat(),
+        b.concat(),
+        c.concat(),
+        nb.concat(),
+        qrs.concat(),
+    ]
+    .concat();
+    cells.fill(cfg, "ablation", &keys);
+    let cycles = |k: &CellKey| cells.get(k).map(|r| r.stats.cycles);
     let mut out = String::new();
 
-    // -- L2 atomic banking vs Inter-Group communication cost. -------------
-    {
-        let b = by_abbrev("BlkSch").expect("BlkSch exists");
-        let rows = gcn_sim::pool::map(cfg.jobs, vec![1usize, 2, 4, 8, 16], |banks| {
-            let mut device = cfg.device.clone();
-            device.l2_banks = banks;
-            let fail = |e| format!("BlkSch banks={banks}: {e}");
-            let base = run_original(b.as_ref(), cfg.scale, &device, &|c| c)
-                .map_err(fail)?
-                .stats
-                .cycles;
-            let inter = run_rmt(b.as_ref(), cfg.scale, &device, &TransformOptions::inter())
-                .map_err(fail)?
-                .stats
-                .cycles;
-            Ok::<_, String>(vec![
-                banks.to_string(),
-                base.to_string(),
-                inter.to_string(),
-                x(inter as f64 / base as f64),
-            ])
-        });
-        let mut t = Table::new(&["L2 banks", "orig cycles", "Inter", "slowdown"]);
-        for row in rows {
-            t.row(row?);
-        }
-        out.push_str(&format!(
-            "Ablation A: L2 atomic banking vs Inter-Group cost (BlkSch)\n\
-             The communication protocol lives on L2 atomics; serializing them\n\
-             through fewer banks inflates Inter-Group overhead while leaving\n\
-             the original kernel almost untouched.\n\n{}\n",
-            t.render()
-        ));
+    let mut t = Table::new(&["L2 banks", "orig cycles", "Inter", "slowdown"]);
+    for (n, k) in banks.iter().zip(&a) {
+        let (base, inter) = (cycles(&k[0])?, cycles(&k[1])?);
+        t.row(vec![
+            n.to_string(),
+            base.to_string(),
+            inter.to_string(),
+            x(inter as f64 / base as f64),
+        ]);
     }
+    out.push_str(&format!(
+        "Ablation A: L2 atomic banking vs Inter-Group cost (BlkSch)\n\
+         The communication protocol lives on L2 atomics; serializing them\n\
+         through fewer banks inflates Inter-Group overhead while leaving\n\
+         the original kernel almost untouched.\n\n{}\n",
+        t.render()
+    ));
 
-    // -- Write-buffer depth vs a write-heavy kernel. -----------------------
-    {
-        let b = by_abbrev("FWT").expect("FWT exists");
-        let rows = gcn_sim::pool::map(cfg.jobs, vec![2u64, 8, 16, 64], |lines| {
-            let mut device = cfg.device.clone();
-            device.lat.write_buffer_lines = lines;
-            let fail = |e| format!("FWT wb={lines}: {e}");
-            let run = run_original(b.as_ref(), cfg.scale, &device, &|c| c).map_err(fail)?;
-            Ok::<_, String>(vec![
-                lines.to_string(),
-                run.stats.cycles.to_string(),
-                format!("{:.1}%", run.stats.counters.write_unit_stalled_pct()),
-            ])
-        });
-        let mut t = Table::new(&["write buffer lines", "orig cycles", "WriteUnitStalled"]);
-        for row in rows {
-            t.row(row?);
-        }
-        out.push_str(&format!(
-            "Ablation B: CU write-buffer depth vs the write-heavy FWT\n\n{}\n",
-            t.render()
-        ));
+    let mut t = Table::new(&["write buffer lines", "orig cycles", "WriteUnitStalled"]);
+    for (n, k) in lines.iter().zip(&b) {
+        let run = cells.get(&k[0])?;
+        t.row(vec![
+            n.to_string(),
+            run.stats.cycles.to_string(),
+            format!("{:.1}%", run.stats.counters.write_unit_stalled_pct()),
+        ]);
     }
+    out.push_str(&format!(
+        "Ablation B: CU write-buffer depth vs the write-heavy FWT\n\n{}\n",
+        t.render()
+    ));
 
-    // -- Occupancy sensitivity: Intra-Group on a memory-bound kernel. ------
-    {
-        let b = by_abbrev("BinS").expect("BinS exists");
-        let rows = gcn_sim::pool::map(cfg.jobs, vec![16usize, 8, 4, 2], |cap| {
-            let fail = |e| format!("BinS cap={cap}: {e}");
-            let base = run_original(b.as_ref(), cfg.scale, &cfg.device, &|c| {
-                c.groups_per_cu_cap(cap)
-            })
-            .map_err(fail)?
-            .stats
-            .cycles;
-            // The RMT run inherits the same cap through its launch passes.
-            let rk_run = {
-                let mut device = cfg.device.clone();
-                device.max_groups_per_cu = cap;
-                run_rmt(
-                    b.as_ref(),
-                    cfg.scale,
-                    &device,
-                    &TransformOptions::intra_plus_lds(),
-                )
-                .map_err(fail)?
-                .stats
-                .cycles
-            };
-            Ok::<_, String>(vec![
-                cap.to_string(),
-                base.to_string(),
-                rk_run.to_string(),
-                x(rk_run as f64 / base as f64),
-            ])
-        });
-        let mut t = Table::new(&["groups/CU cap", "orig", "Intra+LDS", "slowdown"]);
-        for row in rows {
-            t.row(row?);
-        }
-        out.push_str(&format!(
-            "Ablation C: occupancy pressure vs Intra-Group RMT (BinS)\n\
-             Capping resident work-groups slows the memory-latency-bound\n\
-             original as much as (or more than) the RMT version — the doubled\n\
-             work-groups carry their own latency-hiding wavefronts, so the\n\
-             relative cost of RMT stays flat or even dips under pressure.\n\n{}",
-            t.render()
-        ));
+    let mut t = Table::new(&["groups/CU cap", "orig", "Intra+LDS", "slowdown"]);
+    for (n, k) in caps.iter().zip(&c) {
+        let (base, intra) = (cycles(&k[0])?, cycles(&k[1])?);
+        t.row(vec![
+            n.to_string(),
+            base.to_string(),
+            intra.to_string(),
+            x(intra as f64 / base as f64),
+        ]);
     }
+    out.push_str(&format!(
+        "Ablation C: occupancy pressure vs Intra-Group RMT (BinS)\n\
+         Capping resident work-groups slows the memory-latency-bound\n\
+         original as much as (or more than) the RMT version — the doubled\n\
+         work-groups carry their own latency-hiding wavefronts, so the\n\
+         relative cost of RMT stays flat or even dips under pressure.\n\n{}",
+        t.render()
+    ));
 
-    // -- Device scaling: CU count vs the under-utilization findings. -------
-    {
-        let nb = by_abbrev("NB").expect("NB exists");
-        let qrs = by_abbrev("QRS").expect("QRS exists");
-        let rows = gcn_sim::pool::map(cfg.jobs, vec![4usize, 8, 12, 24], |cus| {
-            let mut device = cfg.device.clone();
-            device.num_cus = cus;
-            let fail = |e| format!("scaling cus={cus}: {e}");
-            let nb_base = run_original(nb.as_ref(), cfg.scale, &device, &|c| c)
-                .map_err(fail)?
-                .stats
-                .cycles as f64;
-            let nb_intra = run_rmt(
-                nb.as_ref(),
-                cfg.scale,
-                &device,
-                &TransformOptions::intra_plus_lds(),
-            )
-            .map_err(fail)?
-            .stats
-            .cycles as f64;
-            let nb_inter = run_rmt(nb.as_ref(), cfg.scale, &device, &TransformOptions::inter())
-                .map_err(fail)?
-                .stats
-                .cycles as f64;
-            let qrs_base = run_original(qrs.as_ref(), cfg.scale, &device, &|c| c)
-                .map_err(fail)?
-                .stats
-                .cycles as f64;
-            let qrs_inter = run_rmt(qrs.as_ref(), cfg.scale, &device, &TransformOptions::inter())
-                .map_err(fail)?
-                .stats
-                .cycles as f64;
-            Ok::<_, String>(vec![
-                cus.to_string(),
-                x(nb_intra / nb_base),
-                x(nb_inter / nb_base),
-                x(qrs_inter / qrs_base),
-            ])
-        });
-        let mut t = Table::new(&["CUs", "NB Intra+LDS", "NB Inter", "QRS Inter"]);
-        for row in rows {
-            t.row(row?);
-        }
-        out.push_str(&format!(
-            "
+    let mut t = Table::new(&["CUs", "NB Intra+LDS", "NB Inter", "QRS Inter"]);
+    for ((n, nb), qrs) in cus.iter().zip(&nb).zip(&qrs) {
+        let (nb_base, qrs_base) = (cycles(&nb[0])? as f64, cycles(&qrs[0])? as f64);
+        t.row(vec![
+            n.to_string(),
+            x(cycles(&nb[1])? as f64 / nb_base),
+            x(cycles(&nb[2])? as f64 / nb_base),
+            x(cycles(&qrs[1])? as f64 / qrs_base),
+        ]);
+    }
+    out.push_str(&format!(
+        "
 Ablation D: CU count vs under-utilization (Section 7.4)
              NBody launches few work-groups: on a small device they saturate
              the CUs and Inter-Group RMT pays real money; with spare CUs the
@@ -236,10 +164,8 @@ Ablation D: CU count vs under-utilization (Section 7.4)
              kernel (QRS) keeps its Inter cost regardless of CU count.
 
 {}",
-            t.render()
-        ));
-    }
-
+        t.render()
+    ));
     Ok(out)
 }
 
@@ -249,7 +175,7 @@ mod tests {
 
     #[test]
     fn baseline_small_runs() {
-        let out = baseline(&ExpConfig::small()).unwrap();
+        let out = baseline(&ExpConfig::small(), &mut CellStore::new()).unwrap();
         assert!(out.contains("naive"));
         assert!(out.contains("BinS"));
     }

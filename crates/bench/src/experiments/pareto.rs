@@ -24,11 +24,12 @@
 //! submission order, so the report is byte-identical for any job count.
 
 use super::coverage_static::{inject, json_strings, with_violations};
+use crate::cells::{CellStore, Posture};
 use crate::table::{pct, x, Matrix, Table};
 use crate::ExpConfig;
 use rmt_core::campaign::Outcome;
 use rmt_core::{coverage as cov, transform, TransformOptions};
-use rmt_kernels::{run_original, run_rmt, Benchmark};
+use rmt_kernels::{Benchmark, RunOutcome};
 
 /// The default budget grid, in percent.
 const BUDGETS: [u8; 6] = [0, 25, 50, 75, 90, 100];
@@ -46,10 +47,15 @@ struct Point {
     violations: Vec<String>,
 }
 
-/// Runs one (kernel, budget) cell: transform, static coverage, verified
-/// fault-free runs of the original and the Selective kernel, and the
+/// Runs one (kernel, budget) cell from the stored fault-free runs of the
+/// original and the Selective kernel: transform, static coverage and the
 /// injection campaign. Pure in (benchmark, budget, config).
-fn run_cell(cfg: &ExpConfig, bench: &dyn Benchmark, budget: u8) -> Result<Point, String> {
+fn run_cell(
+    cfg: &ExpConfig,
+    bench: &dyn Benchmark,
+    budget: u8,
+    [base, rmt]: [&RunOutcome; 2],
+) -> Result<Point, String> {
     let ctx = format!("{} Selective({budget}%)", bench.abbrev());
     let opts = TransformOptions::selective(budget);
     let rk = transform(&bench.kernel(), &opts).map_err(|e| format!("{ctx}: transform: {e}"))?;
@@ -60,10 +66,6 @@ fn run_cell(cfg: &ExpConfig, bench: &dyn Benchmark, budget: u8) -> Result<Point,
     let report = cov::analyze(&rk);
     let t = report.tallies(None, false);
 
-    let base = run_original(bench, cfg.scale, &cfg.device, &|c| c)
-        .map_err(|e| format!("{ctx}: original run: {e}"))?;
-    let rmt = run_rmt(bench, cfg.scale, &cfg.device, &opts)
-        .map_err(|e| format!("{ctx}: selective run: {e}"))?;
     if rmt.detections != 0 {
         return Err(format!(
             "{ctx}: fault-free run reported {} detections",
@@ -110,7 +112,7 @@ fn frontier(means: &[(u8, f64, f64)]) -> Vec<u8> {
 /// Returns the full report as an error string when any soundness or
 /// recall violation is found (so `repro pareto` exits nonzero), or when a
 /// transform or fault-free launch fails outright.
-pub fn pareto(cfg: &ExpConfig) -> Result<String, String> {
+pub fn pareto(cfg: &ExpConfig, cells: &mut CellStore) -> Result<String, String> {
     let budgets: Vec<u8> = match cfg.protect {
         Some(b) => vec![b.min(100)],
         None => BUDGETS.to_vec(),
@@ -120,19 +122,32 @@ pub fn pareto(cfg: &ExpConfig) -> Result<String, String> {
     let mut matrix = Matrix::new("kernel", &column_refs);
 
     let suite = rmt_kernels::all();
-    let cells: Vec<(&dyn Benchmark, u8)> = suite
+    // Fault-free runs from the store; one injection campaign per cell.
+    let selective = budgets
         .iter()
-        .flat_map(|b| budgets.iter().map(move |&budget| (b.as_ref(), budget)))
+        .map(|&b| Posture::Rmt(TransformOptions::selective(b)));
+    let postures: Vec<Posture> = std::iter::once(Posture::Original)
+        .chain(selective)
         .collect();
-    let cells: Vec<_> = cells.into_iter().enumerate().collect();
-    let outs = gcn_sim::pool::map(cfg.jobs, cells, |(i, (bench, budget))| {
+    let runs = cells.suite(cfg, "pareto", &postures)?;
+    let campaigns: Vec<_> = suite
+        .iter()
+        .zip(&runs)
+        .flat_map(|(b, (_, r))| {
+            let cells = budgets.iter().zip(&r[1..]);
+            cells.map(move |(&budget, rmt)| (b.as_ref(), budget, [r[0], *rmt]))
+        })
+        .enumerate()
+        .collect();
+    let outs = gcn_sim::pool::map(cfg.jobs, campaigns, |(i, (bench, budget, runs))| {
         crate::obs::cell_obs(
             "pareto",
             bench.abbrev(),
-            &format!("Selective({budget}%)"),
+            // Distinct from the stored fault-free Selective cell's label.
+            &format!("Selective({budget}%)+inject"),
             i,
             |_: &Point| (0, 0),
-            || run_cell(cfg, bench, budget),
+            || run_cell(cfg, bench, budget, runs),
         )
     });
 
@@ -255,15 +270,16 @@ mod tests {
 
     #[test]
     fn single_budget_cell_is_sound_at_small_scale() {
-        let report = pareto(&protect_cfg(60)).expect("soundness/recall must hold");
+        let report =
+            pareto(&protect_cfg(60), &mut CellStore::new()).expect("soundness/recall must hold");
         assert!(report.contains("0 violations"), "{report}");
         assert!(report.contains("60%"), "{report}");
     }
 
     #[test]
     fn report_is_byte_identical_for_any_job_count() {
-        let serial = pareto(&protect_cfg(75)).unwrap();
-        let fanned = pareto(&protect_cfg(75).with_jobs(8)).unwrap();
+        let serial = pareto(&protect_cfg(75), &mut CellStore::new()).unwrap();
+        let fanned = pareto(&protect_cfg(75).with_jobs(8), &mut CellStore::new()).unwrap();
         assert_eq!(serial, fanned);
     }
 
@@ -271,7 +287,7 @@ mod tests {
     fn json_mode_emits_the_frontier() {
         let mut cfg = protect_cfg(100);
         cfg.json = true;
-        let out = pareto(&cfg).unwrap();
+        let out = pareto(&cfg, &mut CellStore::new()).unwrap();
         assert!(out.starts_with("{\"experiment\":\"pareto\""), "{out}");
         assert!(out.contains("\"frontier\":[100]"), "{out}");
         assert!(out.contains("\"violations\":[]"), "{out}");

@@ -1,51 +1,36 @@
 //! Figure 5: average and peak power for the long-running workloads.
 
+use crate::cells::{CellKey, CellStore, Posture};
 use crate::table::Table;
 use crate::ExpConfig;
 use rmt_core::TransformOptions;
-use rmt_kernels::{by_abbrev, run_original, run_rmt};
 
 /// Figure 5: average (and peak) estimated chip power for BO, BlkSch and FW
 /// under Original / Intra+LDS / Intra−LDS — the three workloads whose
 /// kernels run long enough for meaningful sampling (Section 6.5).
-pub fn fig5(cfg: &ExpConfig) -> Result<String, String> {
-    // 9 independent (kernel, variant) cells, fanned across the pool and
-    // merged in submission order.
-    let variants: [(&str, Option<TransformOptions>); 3] = [
-        ("Original", None),
-        ("Intra+LDS", Some(TransformOptions::intra_plus_lds())),
-        ("Intra-LDS", Some(TransformOptions::intra_minus_lds())),
+pub fn fig5(cfg: &ExpConfig, cells: &mut CellStore) -> Result<String, String> {
+    let variants = [
+        ("Original", Posture::Original),
+        (
+            "Intra+LDS",
+            Posture::Rmt(TransformOptions::intra_plus_lds()),
+        ),
+        (
+            "Intra-LDS",
+            Posture::Rmt(TransformOptions::intra_minus_lds()),
+        ),
     ];
-    let cells: Vec<(&str, &str, Option<TransformOptions>)> = ["BO", "BlkSch", "FW"]
+    let keys: Vec<CellKey> = ["BO", "BlkSch", "FW"]
         .iter()
-        .flat_map(|abbrev| variants.iter().map(|(name, opts)| (*abbrev, *name, *opts)))
+        .flat_map(|k| variants.map(|(_, p)| CellKey::new(cfg, k, p)))
         .collect();
-    let cells: Vec<_> = cells.into_iter().enumerate().collect();
-    let rows = gcn_sim::pool::map(cfg.jobs, cells, |(i, (abbrev, name, opts))| {
-        crate::obs::cell_obs(
-            "fig5",
-            abbrev,
-            name,
-            i,
-            |_: &_| (0, 0),
-            || {
-                let b = by_abbrev(abbrev).expect("known benchmark");
-                let run = match opts {
-                    None => run_original(b.as_ref(), cfg.scale, &cfg.device, &|c| c),
-                    Some(o) => run_rmt(b.as_ref(), cfg.scale, &cfg.device, &o),
-                }
-                .map_err(|e| format!("{abbrev}: {e}"))?;
-                let p = run.stats.power.ok_or("power stats missing")?;
-                Ok::<_, String>((abbrev, name, p))
-            },
-        )
-    });
+    cells.fill(cfg, "fig5", &keys);
     let mut t = Table::new(&["kernel", "variant", "avg W", "peak W", "runtime ms"]);
-    for row in rows {
-        let (abbrev, name, p) = row?;
+    for (key, (name, _)) in keys.iter().zip(variants.iter().cycle()) {
+        let p = cells.get(key)?.stats.power.ok_or("power stats missing")?;
         t.row(vec![
-            abbrev.into(),
-            name.into(),
+            key.kernel.into(),
+            (*name).into(),
             format!("{:.1}", p.avg_watts),
             format!("{:.1}", p.peak_watts),
             format!("{:.3}", p.runtime_ms),
@@ -63,7 +48,7 @@ mod tests {
 
     #[test]
     fn fig5_small_reports_three_kernels() {
-        let out = fig5(&ExpConfig::small()).unwrap();
+        let out = fig5(&ExpConfig::small(), &mut CellStore::new()).unwrap();
         assert!(out.contains("BO"));
         assert!(out.contains("BlkSch"));
         assert!(out.contains("FW"));

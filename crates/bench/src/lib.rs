@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod cells;
 pub mod experiments;
 mod obs;
 pub mod report;

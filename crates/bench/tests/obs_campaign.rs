@@ -8,6 +8,7 @@
 //! one binary run on parallel threads — every test here takes `lock()`
 //! first so campaigns never interleave.
 
+use rmt_bench::cells::CellStore;
 use rmt_bench::{baseline, experiments, ExpConfig};
 use rmt_core::campaign::{pick_sites, SiteKind};
 use rmt_core::{coverage, transform, TransformOptions};
@@ -25,7 +26,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn fig5_metrics(jobs: usize) -> String {
     rmt_obs::enable(rmt_obs::Clock::Logical);
     let cfg = ExpConfig::small().with_jobs(jobs);
-    experiments::run("fig5", &cfg).expect("fig5 runs");
+    experiments::run("fig5", &cfg, &mut CellStore::new()).expect("fig5 runs");
     let m = rmt_obs::metrics_json();
     rmt_obs::disable();
     m
@@ -41,6 +42,16 @@ fn deterministic_metrics_are_byte_identical_across_jobs() {
         "cell counters missing:\n{serial}"
     );
     assert!(serial.contains("sim.cycles"), "sim counters missing");
+    let doc = baseline::parse(&serial).expect("snapshot parses");
+    let cells: f64 = doc
+        .get("counters")
+        .and_then(baseline::Json::as_array)
+        .expect("counters")
+        .iter()
+        .filter(|c| c.get("name").and_then(baseline::Json::as_str) == Some("exp.cells"))
+        .filter_map(|c| c.get("value").and_then(baseline::Json::as_f64))
+        .sum();
+    assert_eq!(cells, 9.0, "fig5 alone records its 9 cells");
     assert_eq!(
         serial, parallel,
         "deterministic snapshots must not depend on --jobs"
@@ -53,7 +64,7 @@ fn pareto_metrics(jobs: usize) -> rmt_obs::MetricsSnapshot {
     rmt_obs::enable(rmt_obs::Clock::Logical);
     let mut cfg = ExpConfig::small().with_jobs(jobs);
     cfg.protect = Some(50);
-    experiments::run("pareto", &cfg).expect("pareto runs");
+    experiments::run("pareto", &cfg, &mut CellStore::new()).expect("pareto runs");
     let m = rmt_obs::metrics_snapshot();
     rmt_obs::disable();
     m
@@ -146,7 +157,7 @@ fn profile_single_merges_device_timeline_into_campaign_trace() {
     let mut cfg = ExpConfig::small();
     cfg.kernel = Some("R".into());
     cfg.flavor = Some("intra-lds".into());
-    experiments::run("profile", &cfg).expect("profile runs");
+    experiments::run("profile", &cfg, &mut CellStore::new()).expect("profile runs");
     let trace = rmt_obs::chrome_trace_json();
     rmt_obs::disable();
 

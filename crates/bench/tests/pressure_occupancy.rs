@@ -16,7 +16,7 @@ fn dispatcher_never_allocates_below_static_pressure() {
     for bench in rmt_kernels::all() {
         // Original kernel.
         let orig_pressure = register_pressure(&bench.kernel());
-        let out = run_original(bench.as_ref(), Scale::Small, &dev_cfg, &|c| c)
+        let out = run_original(bench.as_ref(), Scale::Small, &dev_cfg)
             .unwrap_or_else(|e| panic!("{} original: {e}", bench.abbrev()));
         let occ = out.stats.occupancy.expect("occupancy recorded");
         assert!(

@@ -62,6 +62,18 @@ impl Decomposition {
     }
 }
 
+/// The resource-inflation cap on the original kernel's resident groups
+/// per CU, given the full RMT run's `rmt_groups`. Intra: the same *count*
+/// of groups. Inter: two RMT groups hold one original group's work, so
+/// half, and only for even counts (the paper's starred subset); `None`
+/// otherwise.
+pub fn inflation_cap(flavor: RmtFlavor, rmt_groups: usize) -> Option<usize> {
+    match flavor {
+        RmtFlavor::Inter => rmt_groups.is_multiple_of(2).then_some(rmt_groups / 2),
+        _ => Some(rmt_groups),
+    }
+}
+
 /// Runs the full decomposition for one kernel × flavor.
 ///
 /// `setup` prepares a fresh device for each staged run: it allocates and
@@ -103,21 +115,12 @@ pub fn decompose(
     let red = RmtLauncher::new().launch(&mut dev, &rk_red, &launch)?;
 
     // Resource inflation: original kernel, occupancy capped to match RMT.
-    let cap = match opts.flavor {
-        // Intra: RMT groups are doubled originals — reserve by running the
-        // same *count* of (half-sized) groups.
-        RmtFlavor::IntraPlusLds | RmtFlavor::IntraMinusLds | RmtFlavor::Selective { .. } => {
-            Some(rmt_groups_per_cu)
-        }
-        // Inter: two RMT groups correspond to one original group's worth of
-        // real work; the reservation only lines up for even counts (the
-        // paper's starred subset).
-        RmtFlavor::Inter => (rmt_groups_per_cu % 2 == 0).then_some(rmt_groups_per_cu / 2),
-    };
-    let inflated_cycles = match cap {
+    let inflated_cycles = match inflation_cap(opts.flavor, rmt_groups_per_cu) {
         Some(cap) => {
-            let mut dev = Device::new(dev_cfg.clone());
-            let launch = setup(&mut dev).groups_per_cu_cap(cap);
+            let mut capped = dev_cfg.clone();
+            capped.max_groups_per_cu = cap.min(capped.max_groups_per_cu);
+            let mut dev = Device::new(capped);
+            let launch = setup(&mut dev);
             Some(dev.launch(kernel, &launch)?.cycles)
         }
         None => None,

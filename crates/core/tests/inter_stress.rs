@@ -31,7 +31,10 @@ fn chatty_kernel() -> Kernel {
     b.finish()
 }
 
-fn run_inter(dev_cfg: DeviceConfig, n: usize, local: usize, cap: Option<usize>) {
+fn run_inter(mut dev_cfg: DeviceConfig, n: usize, local: usize, cap: Option<usize>) {
+    if let Some(c) = cap {
+        dev_cfg.max_groups_per_cu = c.min(dev_cfg.max_groups_per_cu);
+    }
     let k = chatty_kernel();
     let rk = transform(&k, &TransformOptions::inter()).unwrap();
     let mut dev = Device::new(dev_cfg);
@@ -39,12 +42,9 @@ fn run_inter(dev_cfg: DeviceConfig, n: usize, local: usize, cap: Option<usize>) 
     let ob = dev.create_buffer((n * 4) as u32);
     let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
     dev.write_u32s(ib, &input);
-    let mut cfg = LaunchConfig::new_1d(n, local)
+    let cfg = LaunchConfig::new_1d(n, local)
         .arg(Arg::Buffer(ib))
         .arg(Arg::Buffer(ob));
-    if let Some(c) = cap {
-        cfg = cfg.groups_per_cu_cap(c);
-    }
     let run = launch_rmt(&mut dev, &rk, &cfg).unwrap();
     assert_eq!(run.detections, 0);
     let got = dev.read_u32s(ob);

@@ -138,13 +138,7 @@ mod tests {
 
     #[test]
     fn original_verifies() {
-        run_original(
-            &BinarySearch,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&BinarySearch, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

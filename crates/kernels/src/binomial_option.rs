@@ -206,13 +206,7 @@ mod tests {
 
     #[test]
     fn original_prices() {
-        run_original(
-            &BinomialOption,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&BinomialOption, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

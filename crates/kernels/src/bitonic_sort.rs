@@ -116,13 +116,7 @@ mod tests {
 
     #[test]
     fn original_sorts() {
-        run_original(
-            &BitonicSort,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&BitonicSort, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -205,13 +205,7 @@ mod tests {
 
     #[test]
     fn original_prices_options() {
-        run_original(
-            &BlackScholes,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&BlackScholes, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -145,7 +145,6 @@ mod tests {
             &SimpleConvolution,
             Scale::Small,
             &DeviceConfig::small_test(),
-            &|c| c,
         )
         .unwrap();
     }

@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn original_transforms() {
-        run_original(&Dct, Scale::Small, &DeviceConfig::small_test(), &|c| c).unwrap();
+        run_original(&Dct, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -120,7 +120,6 @@ mod tests {
             &FastWalshTransform,
             Scale::Small,
             &DeviceConfig::small_test(),
-            &|c| c,
         )
         .unwrap();
     }

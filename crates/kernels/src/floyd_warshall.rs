@@ -123,13 +123,7 @@ mod tests {
 
     #[test]
     fn original_shortest_paths() {
-        run_original(
-            &FloydWarshall,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&FloydWarshall, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -175,7 +175,6 @@ mod tests {
             &MatrixMultiplication,
             Scale::Small,
             &DeviceConfig::small_test(),
-            &|c| c,
         )
         .unwrap();
     }

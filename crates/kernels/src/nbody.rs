@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn original_steps() {
-        run_original(&NBody, Scale::Small, &DeviceConfig::small_test(), &|c| c).unwrap();
+        run_original(&NBody, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -182,13 +182,7 @@ mod tests {
 
     #[test]
     fn original_scans() {
-        run_original(
-            &PrefixSum,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&PrefixSum, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

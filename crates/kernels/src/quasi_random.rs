@@ -144,7 +144,6 @@ mod tests {
             &QuasiRandomSequence,
             Scale::Small,
             &DeviceConfig::small_test(),
-            &|c| c,
         )
         .unwrap();
     }

@@ -120,13 +120,7 @@ mod tests {
 
     #[test]
     fn original_reduces() {
-        run_original(
-            &Reduction,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&Reduction, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -185,13 +185,7 @@ mod tests {
 
     #[test]
     fn original_edges() {
-        run_original(
-            &SobelFilter,
-            Scale::Small,
-            &DeviceConfig::small_test(),
-            &|c| c,
-        )
-        .unwrap();
+        run_original(&SobelFilter, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

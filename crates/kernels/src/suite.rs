@@ -89,8 +89,7 @@ pub fn by_abbrev(abbrev: &str) -> Option<Box<dyn Benchmark>> {
 }
 
 /// Runs the original (untransformed) benchmark, verifying results.
-/// `modify` can adjust each pass's launch (used by the decomposition
-/// experiments to cap occupancy); use `|c| c` for a plain run.
+/// An occupancy cap goes in `dev_cfg.max_groups_per_cu`.
 ///
 /// # Errors
 ///
@@ -99,9 +98,8 @@ pub fn run_original(
     bench: &dyn Benchmark,
     scale: Scale,
     dev_cfg: &DeviceConfig,
-    modify: &dyn Fn(LaunchConfig) -> LaunchConfig,
 ) -> Result<RunOutcome, SuiteError> {
-    run_passes(bench, scale, dev_cfg, None, modify)
+    run_passes(bench, scale, dev_cfg, None, &|c| c)
 }
 
 /// Runs the RMT-transformed benchmark, verifying results against the CPU

@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn original_adds_noise() {
-        run_original(&Urng, Scale::Small, &DeviceConfig::small_test(), &|c| c).unwrap();
+        run_original(&Urng, Scale::Small, &DeviceConfig::small_test()).unwrap();
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn snapshot(engine: SimEngine) -> String {
         };
         for (name, opts) in flavors {
             let run = match opts {
-                None => run_original(b.as_ref(), Scale::Small, &dev, &|c| c),
+                None => run_original(b.as_ref(), Scale::Small, &dev),
                 Some(o) => run_rmt(b.as_ref(), Scale::Small, &dev, o),
             }
             .unwrap_or_else(|e| panic!("{abbrev} {name}: {e}"));

@@ -47,7 +47,7 @@ fn inter_handles_2d_group_delinearization() {
 fn paper_scale_originals_verify() {
     let cfg = DeviceConfig::radeon_hd_7790();
     for b in all() {
-        run_original(b.as_ref(), Scale::Paper, &cfg, &|c| c)
+        run_original(b.as_ref(), Scale::Paper, &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", b.abbrev()));
     }
 }
@@ -74,8 +74,7 @@ fn large_scale_spot_checks_verify() {
     let cfg = DeviceConfig::radeon_hd_7790();
     for abbrev in ["BlkSch", "R", "SC", "URNG"] {
         let b = by_abbrev(abbrev).unwrap();
-        run_original(b.as_ref(), Scale::Large, &cfg, &|c| c)
-            .unwrap_or_else(|e| panic!("{abbrev}: {e}"));
+        run_original(b.as_ref(), Scale::Large, &cfg).unwrap_or_else(|e| panic!("{abbrev}: {e}"));
         let run = run_rmt(
             b.as_ref(),
             Scale::Large,
@@ -98,7 +97,7 @@ fn workload_characters_match_the_paper() {
     let compute_bound = ["BlkSch", "QRS", "URNG", "DCT"];
     for abbrev in memory_bound {
         let b = by_abbrev(abbrev).unwrap();
-        let run = run_original(b.as_ref(), Scale::Paper, &cfg, &|c| c).unwrap();
+        let run = run_original(b.as_ref(), Scale::Paper, &cfg).unwrap();
         let c = &run.stats.counters;
         assert!(
             c.memory_boundedness() > 1.0,
@@ -109,7 +108,7 @@ fn workload_characters_match_the_paper() {
     }
     for abbrev in compute_bound {
         let b = by_abbrev(abbrev).unwrap();
-        let run = run_original(b.as_ref(), Scale::Paper, &cfg, &|c| c).unwrap();
+        let run = run_original(b.as_ref(), Scale::Paper, &cfg).unwrap();
         let c = &run.stats.counters;
         assert!(
             c.memory_boundedness() < 1.0,
@@ -120,7 +119,7 @@ fn workload_characters_match_the_paper() {
     }
     // BO is the LDS-bound outlier (Section 6.4).
     let bo = by_abbrev("BO").unwrap();
-    let run = run_original(bo.as_ref(), Scale::Paper, &cfg, &|c| c).unwrap();
+    let run = run_original(bo.as_ref(), Scale::Paper, &cfg).unwrap();
     let c = &run.stats.counters;
     assert!(
         c.lds_busy_pct() > c.mem_unit_busy_pct(),
@@ -131,7 +130,7 @@ fn workload_characters_match_the_paper() {
     // NB and PS under-utilize the device (Section 7.4).
     for abbrev in ["NB", "PS"] {
         let b = by_abbrev(abbrev).unwrap();
-        let run = run_original(b.as_ref(), Scale::Paper, &cfg, &|c| c).unwrap();
+        let run = run_original(b.as_ref(), Scale::Paper, &cfg).unwrap();
         let groups = run.stats.counters.groups_executed as usize;
         let capacity = cfg.num_cus * run.stats.occupancy.map(|o| o.groups_per_cu).unwrap_or(1);
         assert!(

@@ -78,10 +78,6 @@ pub struct LaunchConfig {
     /// Extra LDS bytes charged per group for occupancy only (same
     /// methodology).
     pub extra_lds: u32,
-    /// Hard cap on resident work-groups per CU (occupancy-only knob used
-    /// by the decomposition experiments to "reserve space" for redundant
-    /// work without executing it).
-    pub groups_per_cu_cap: Option<usize>,
     /// Fault injections to perform.
     pub faults: FaultPlan,
     /// Records an execution trace into [`LaunchStats::trace`].
@@ -104,7 +100,6 @@ impl LaunchConfig {
             args: Vec::new(),
             extra_vgprs: 0,
             extra_lds: 0,
-            groups_per_cu_cap: None,
             faults: FaultPlan::none(),
             trace: None,
             profile: None,
@@ -137,12 +132,6 @@ impl LaunchConfig {
     /// Sets occupancy-only LDS inflation (bytes per group).
     pub fn extra_lds(mut self, v: u32) -> Self {
         self.extra_lds = v;
-        self
-    }
-
-    /// Caps resident work-groups per CU (occupancy-only).
-    pub fn groups_per_cu_cap(mut self, cap: usize) -> Self {
-        self.groups_per_cu_cap = Some(cap);
         self
     }
 

@@ -446,11 +446,9 @@ pub(crate) fn occupancy(
         )));
     }
     let groups_by_waves = max_waves_cu / waves_per_group;
-    let cap = launch.groups_per_cu_cap.unwrap_or(usize::MAX).max(1);
     let groups_per_cu = groups_by_waves
         .min(groups_by_lds)
-        .min(cfg.max_groups_per_cu)
-        .min(cap);
+        .min(cfg.max_groups_per_cu);
     let limiter = if groups_per_cu == groups_by_lds && groups_by_lds <= groups_by_waves {
         OccupancyLimiter::Lds
     } else if groups_per_cu == cfg.max_groups_per_cu

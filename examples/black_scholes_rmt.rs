@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::Paper;
 
     println!("Pricing a book of European options on the simulated HD 7790\n");
-    let base = run_original(bench.as_ref(), scale, &device, &|c| c)?;
+    let base = run_original(bench.as_ref(), scale, &device)?;
     println!(
         "{:<28} {:>9} cycles   {:>7}   avg {:>5.1} W",
         "unprotected",

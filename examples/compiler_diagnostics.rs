@@ -98,12 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", TransformReport::new(&kernel, &rk));
 
     println!("\n== profiler view of the original Reduction (paper scale) ==\n");
-    let run = run_original(
-        b.as_ref(),
-        Scale::Paper,
-        &DeviceConfig::radeon_hd_7790(),
-        &|c| c,
-    )?;
+    let run = run_original(b.as_ref(), Scale::Paper, &DeviceConfig::radeon_hd_7790())?;
     print!("{}", run.stats.counters);
 
     // == static protection coverage ==

@@ -9,7 +9,7 @@ use gpu_rmt::sim::DeviceConfig;
 fn whole_suite_runs_and_verifies_original() {
     let cfg = DeviceConfig::small_test();
     for b in all() {
-        let run = run_original(b.as_ref(), Scale::Small, &cfg, &|c| c)
+        let run = run_original(b.as_ref(), Scale::Small, &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", b.abbrev()));
         assert!(run.stats.cycles > 0, "{}", b.abbrev());
         assert_eq!(run.detections, 0);
@@ -45,7 +45,7 @@ fn rmt_is_never_catastrophically_slow_at_small_scale() {
     // magnitude of the original for every suite kernel.
     let cfg = DeviceConfig::small_test();
     for b in all() {
-        let base = run_original(b.as_ref(), Scale::Small, &cfg, &|c| c)
+        let base = run_original(b.as_ref(), Scale::Small, &cfg)
             .unwrap()
             .stats
             .cycles as f64;
@@ -75,7 +75,7 @@ fn memory_bound_kernels_are_cheap_under_intra() {
     let cfg = DeviceConfig::radeon_hd_7790();
     for abbrev in ["BinS", "FWT"] {
         let b = by_abbrev(abbrev).unwrap();
-        let base = run_original(b.as_ref(), Scale::Small, &cfg, &|c| c)
+        let base = run_original(b.as_ref(), Scale::Small, &cfg)
             .unwrap()
             .stats
             .cycles as f64;
@@ -101,7 +101,7 @@ fn compute_bound_kernels_pay_roughly_double_under_intra() {
     let cfg = DeviceConfig::radeon_hd_7790();
     for abbrev in ["URNG", "QRS"] {
         let b = by_abbrev(abbrev).unwrap();
-        let base = run_original(b.as_ref(), Scale::Paper, &cfg, &|c| c)
+        let base = run_original(b.as_ref(), Scale::Paper, &cfg)
             .unwrap()
             .stats
             .cycles as f64;
@@ -126,7 +126,7 @@ fn compute_bound_kernels_pay_roughly_double_under_intra() {
 fn counters_flow_through_the_facade() {
     let cfg = DeviceConfig::small_test();
     let b = by_abbrev("R").unwrap();
-    let run = run_original(b.as_ref(), Scale::Small, &cfg, &|c| c).unwrap();
+    let run = run_original(b.as_ref(), Scale::Small, &cfg).unwrap();
     let c = &run.stats.counters;
     assert!(c.dyn_insts > 0);
     assert!(c.bytes_loaded > 0);
