@@ -9,6 +9,7 @@ mod selective;
 
 use crate::error::RmtError;
 use crate::options::{RmtFlavor, TransformOptions};
+use rmt_ir::analysis::equiv::ResidueKind;
 use rmt_ir::Kernel;
 
 pub use provenance::{Provenance, RmtTag};
@@ -112,6 +113,19 @@ pub fn transform(kernel: &Kernel, opts: &TransformOptions) -> Result<RmtKernel, 
         crate::verify::verify_rmt(kernel, &rk),
         Vec::new(),
         "transform broke an RMT invariant for `{}`",
+        kernel.name
+    );
+    // `verify_rmt` owns the shape; `tv` owns the meaning, channel
+    // sourcing of every detect compare included. Only the by-design
+    // `Unsupported` pair (Inter-Group redundant-no-comm) is exempt.
+    debug_assert_eq!(
+        crate::tv::validate_transform_inner(kernel, &rk)
+            .residue
+            .into_iter()
+            .filter(|r| r.kind != ResidueKind::Unsupported)
+            .collect::<Vec<_>>(),
+        Vec::new(),
+        "transform left translation-validation residue for `{}`",
         kernel.name
     );
     Ok(rk)

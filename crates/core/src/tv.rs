@@ -142,7 +142,10 @@ pub fn validate_transform(original: &Kernel, rk: &RmtKernel) -> TvReport {
     report
 }
 
-fn validate_transform_inner(original: &Kernel, rk: &RmtKernel) -> TvReport {
+/// [`validate_transform`] without the `tv.*` metrics, for the
+/// transform's debug assertion: what the metrics count must not depend
+/// on the build profile.
+pub(crate) fn validate_transform_inner(original: &Kernel, rk: &RmtKernel) -> TvReport {
     let opts = rk.meta.options;
     if opts.flavor == RmtFlavor::Inter && opts.stage == Stage::RedundantNoComm {
         return TvReport {
@@ -377,6 +380,45 @@ mod tests {
             "expected CompareMismatch, got {:#?}",
             rep.residue
         );
+    }
+
+    #[test]
+    fn self_compare_left_uncovered_by_tv_alone() {
+        // Tamper: each detect compare reads its own replica's operand in
+        // place of the partner's channel value, so it compares a value
+        // against itself and can never fire. `tv` owns channel sourcing:
+        // it reports both operands of the exit uncovered, while the
+        // structural verifier, which checks only the compare-to-detector
+        // wiring, stays clean.
+        let k = store_kernel();
+        for opts in [
+            TransformOptions::intra_plus_lds(),
+            TransformOptions::intra_minus_lds(),
+            TransformOptions::inter(),
+            TransformOptions::intra_plus_lds().with_swizzle(),
+        ] {
+            let mut rk = transform(&k, &opts).unwrap();
+            let dsts = detect_cmp_dsts(&mut rk);
+            assert_eq!(dsts.len(), 2, "{opts:?}");
+            for_each_inst_mut(&mut rk.kernel.body, &mut |i| {
+                if let Inst::Cmp { dst, a, b, .. } = i {
+                    if dsts.contains(dst) {
+                        *a = *b;
+                    }
+                }
+            });
+            assert_eq!(verify_rmt(&k, &rk), Vec::new(), "{opts:?}");
+            let rep = validate_transform(&k, &rk);
+            for operand in ["address", "value"] {
+                assert!(
+                    rep.residue
+                        .iter()
+                        .any(|r| r.kind == ResidueKind::CompareUncovered { exit: 0, operand }),
+                    "{opts:?}: expected CompareUncovered{{exit 0, {operand}}}, got {:#?}",
+                    rep.residue
+                );
+            }
+        }
     }
 
     #[test]

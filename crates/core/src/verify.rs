@@ -17,10 +17,15 @@
 //!    appended detection buffer).
 //! 2. **Protected stores** — every SoR-exiting store is guarded by a
 //!    replica-role `if` and, in the full stage, preceded in its block by a
-//!    compare-and-detect sequence whose comparison consumes a value that
-//!    crossed the communication channel (LDS load, global load, or VRF
-//!    swizzle). Protocol stores (into the communication buffer) are
-//!    exempt but must themselves sit under a role guard.
+//!    compare-and-detect `if` (one whose then-block bumps the detect
+//!    counter). Protocol stores (into the communication buffer) are
+//!    exempt but must themselves sit under a role guard. That the
+//!    compare reads the partner's value off the communication channel is
+//!    not re-checked here: [`crate::tv`] owns it (compare dominance over
+//!    channel-sourced values) and also runs as a debug assertion in
+//!    [`crate::transform`]. This check owns the wiring instead — a
+//!    compare whose result never reaches a detect bump still satisfies
+//!    `tv`, which proves only that the compares exist and are sourced.
 //! 3. **Ticket prologue** (Inter-Group, full stage) — exactly one ticket
 //!    acquisition, performed before any wait loop, under a
 //!    `local_linear == 0` guard that broadcasts through LDS followed by a
@@ -45,7 +50,7 @@
 //!    stores, so the right total on the wrong stores fails).
 
 use crate::options::{CommMode, RmtFlavor, Stage};
-use crate::transform::{RmtKernel, RmtTag};
+use crate::transform::RmtKernel;
 use rmt_ir::analysis::harden::{harden, HardenConfig};
 use rmt_ir::analysis::Linear;
 use rmt_ir::{AtomicOp, Block, CmpOp, Inst, Kernel, MemSpace, Reg, RegSet};
@@ -67,9 +72,6 @@ pub enum VerifyError {
         /// Address space of the store.
         space: MemSpace,
     },
-    /// The comparison guarding a detect bump never consumes a value from
-    /// the communication channel — it compares a replica against itself.
-    CompareWithoutChannel,
     /// The Inter-Group ticket prologue deviates from the deadlock-free
     /// shape (the string names the deviation).
     TicketPrologue(String),
@@ -124,10 +126,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "SoR-exiting {space:?} store without a preceding compare-and-detect"
             ),
-            VerifyError::CompareWithoutChannel => write!(
-                f,
-                "detect comparison reads no channel value (replica compared to itself)"
-            ),
             VerifyError::TicketPrologue(why) => write!(f, "ticket prologue: {why}"),
             VerifyError::PlainPoll => {
                 write!(f, "wait loop polls protocol state with a plain load")
@@ -159,11 +157,6 @@ struct Facts<'k> {
     /// The kernel's pre-order table, whose parameter provenance says which
     /// params each register derives from through pure ops.
     lin: Linear<'k>,
-    /// Registers whose value crossed the communication channel (seeded
-    /// from the transform's [`RmtTag::ChannelValue`] provenance when
-    /// available, else from every load/swizzle/atomic result; closed over
-    /// pure ops either way).
-    channel: RegSet,
     /// Registers defined as `Const 0`.
     zeros: RegSet,
     /// Registers defined by an equality comparison.
@@ -176,7 +169,7 @@ impl Facts<'_> {
     }
 }
 
-fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&RegSet>) -> Facts<'k> {
+fn compute_facts(kernel: &Kernel) -> Facts<'_> {
     let lin = Linear::new(kernel);
     let mut zeros = RegSet::for_kernel(kernel);
     let mut eq_cmps = RegSet::for_kernel(kernel);
@@ -193,38 +186,8 @@ fn compute_facts<'k>(kernel: &'k Kernel, channel_seed: Option<&RegSet>) -> Facts
             _ => {}
         }
     }
-    // Iterate to a fixpoint so loop-carried `Mov` chains converge.
-    let mut channel = RegSet::for_kernel(kernel);
-    loop {
-        let mut changed = false;
-        for n in &lin.nodes {
-            let tainted = match *n.inst {
-                // With a provenance seed, only the transform's recorded
-                // channel values taint; structurally any load/swizzle does.
-                Inst::Load { dst, .. }
-                | Inst::Swizzle { dst, .. }
-                | Inst::Atomic { dst: Some(dst), .. } => {
-                    channel_seed.is_none_or(|s| s.contains(dst))
-                }
-                // Pure value ops propagate the taint.
-                Inst::Unary { .. }
-                | Inst::Binary { .. }
-                | Inst::Cmp { .. }
-                | Inst::Select { .. }
-                | Inst::Mov { .. } => lin.srcs(n).iter().any(|&s| channel.contains(s)),
-                _ => false,
-            };
-            if tainted {
-                changed |= channel.insert(n.inst.dst().expect("only defs are tainted"));
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
     Facts {
         lin,
-        channel,
         zeros,
         eq_cmps,
     }
@@ -255,11 +218,6 @@ struct Checker<'a> {
 impl Checker<'_> {
     fn detect_param(&self) -> usize {
         self.rk.meta.detect_param
-    }
-
-    /// Is `r` a comparison result that consumed at least one channel value?
-    fn compare_uses_channel(&self, r: Reg) -> bool {
-        self.facts.channel.contains(r)
     }
 
     fn check_block(&mut self, b: &Block, if_depth: usize, in_wait_cond: bool) {
@@ -372,22 +330,12 @@ impl Checker<'_> {
         if self.rk.meta.options.stage != Stage::Full {
             return; // redundant-no-comm: role guard is the whole contract
         }
-        // Walk backwards: an earlier `if` in this block must bump the
-        // detect counter, and its condition must have consumed a value
-        // that crossed the channel.
+        // An earlier `if` in this block must bump the detect counter.
         let selective = self.rk.meta.selective.is_some();
-        let mut protected = false;
-        for prior in blk.iter().take(idx) {
-            if let Inst::If { cond, then_blk, .. } = prior {
-                if has_detect_bump(then_blk, &self.facts, self.detect_param()) {
-                    if !self.compare_uses_channel(*cond) {
-                        self.errors.push(VerifyError::CompareWithoutChannel);
-                    }
-                    protected = true;
-                    break;
-                }
-            }
-        }
+        let protected = blk.iter().take(idx).any(|prior| {
+            matches!(prior, Inst::If { then_blk, .. }
+                if has_detect_bump(then_blk, &self.facts, self.detect_param()))
+        });
         if selective {
             // Exits outside the plan's budget are deliberately uncompared;
             // each store is reconciled against the plan afterwards.
@@ -553,11 +501,7 @@ pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
         }
     }
 
-    // Seed channel taint from the transform's own record of which
-    // registers crossed the channel; fall back to the structural
-    // over-approximation for kernels without provenance.
-    let tagged = rk.provenance.regs_with(RmtTag::ChannelValue);
-    let facts = compute_facts(&rk.kernel, (!tagged.is_empty()).then_some(&tagged));
+    let facts = compute_facts(&rk.kernel);
     let mut checker = Checker {
         rk,
         facts,
@@ -620,7 +564,7 @@ pub fn verify_rmt(original: &Kernel, rk: &RmtKernel) -> Vec<VerifyError> {
 mod tests {
     use super::*;
     use crate::options::TransformOptions;
-    use crate::transform::transform;
+    use crate::transform::{transform, RmtTag};
     use rmt_ir::KernelBuilder;
 
     fn sample_kernel() -> Kernel {
@@ -636,6 +580,20 @@ mod tests {
         let v = b.load_local(lo);
         let a = b.elem_addr(out, gid);
         b.store_global(a, v);
+        b.finish()
+    }
+
+    /// Two global stores: `xs[gid] = xs[gid]`, then `ys[gid] = gid`.
+    fn two_store_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("two");
+        let xs = b.buffer_param("xs");
+        let ys = b.buffer_param("ys");
+        let gid = b.global_id(0);
+        let xa = b.elem_addr(xs, gid);
+        let v = b.load_global(xa);
+        b.store_global(xa, v);
+        let ya = b.elem_addr(ys, gid);
+        b.store_global(ya, gid);
         b.finish()
     }
 
@@ -729,6 +687,51 @@ mod tests {
                 VerifyError::StoreWithoutCompare { .. } | VerifyError::MissingDetect
             )),
             "got {errs:?}"
+        );
+    }
+
+    /// Removes the first instruction matching `pred`, in pre-order.
+    fn drop_first(b: &mut Block, pred: &impl Fn(&Inst) -> bool) -> bool {
+        for idx in 0..b.0.len() {
+            if pred(&b.0[idx]) {
+                b.0.remove(idx);
+                return true;
+            }
+            let found = match &mut b.0[idx] {
+                Inst::If {
+                    then_blk, else_blk, ..
+                } => drop_first(then_blk, pred) || drop_first(else_blk, pred),
+                Inst::While { cond, body, .. } => drop_first(cond, pred) || drop_first(body, pred),
+                _ => false,
+            };
+            if found {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn unwired_compare_is_caught_here_alone() {
+        // Drop only the first store's detect `if`: its address and value
+        // compares still run on channel values, but their verdict never
+        // reaches the detect counter. `tv` still proves this kernel (the
+        // compares exist, are channel-sourced and dominate the exit), and
+        // static coverage keeps the same tallies, so the compare-to-detector
+        // wiring is this verifier's check alone.
+        let k = two_store_kernel();
+        let mut rk = transform(&k, &TransformOptions::intra_plus_lds()).unwrap();
+        let prov = rk.provenance.clone();
+        let is_detect_if =
+            |i: &Inst| matches!(i, Inst::If { cond, .. } if prov.is(*cond, RmtTag::DetectCompare));
+        assert!(drop_first(&mut rk.kernel.body, &is_detect_if));
+        let rep = crate::tv::validate_transform(&k, &rk);
+        assert!(rep.proved(), "{:#?}", rep.residue);
+        assert_eq!(
+            verify_rmt(&k, &rk),
+            vec![VerifyError::StoreWithoutCompare {
+                space: MemSpace::Global
+            }]
         );
     }
 
@@ -826,16 +829,7 @@ mod tests {
         // consumer blocks keeps the protected-store *total* right while
         // moving the protection to the store the plan did not select — the
         // per-exit reconciliation must notice what a global count cannot.
-        let mut b = KernelBuilder::new("two");
-        let xs = b.buffer_param("xs");
-        let ys = b.buffer_param("ys");
-        let gid = b.global_id(0);
-        let xa = b.elem_addr(xs, gid);
-        let v = b.load_global(xa);
-        b.store_global(xa, v);
-        let ya = b.elem_addr(ys, gid);
-        b.store_global(ya, gid);
-        let k = b.finish();
+        let k = two_store_kernel();
 
         let mut budget = None;
         for try_budget in [30, 50, 70] {

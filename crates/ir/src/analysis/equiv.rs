@@ -42,7 +42,7 @@
 //! behavior are out of scope — those are what the fault-injection
 //! campaigns and the differential fuzz oracle measure dynamically.
 
-use crate::analysis::uniformity::{has_divergent_sync, SyncSites};
+use crate::analysis::uniformity::has_divergent_barrier;
 use crate::fxhash::FxHashMap;
 use crate::inst::{
     AtomicOp, BinOp, Block, Builtin, CmpOp, Dim, Inst, MemSpace, Reg, SwizzleMode, UnOp,
@@ -1440,7 +1440,7 @@ fn needs_coverage(kind: EvKind, cfg: &TvConfig) -> bool {
 #[must_use]
 pub fn validate_pair(original: &Kernel, transformed: &Kernel, cfg: &TvConfig) -> TvReport {
     for (k, which) in [(original, "original"), (transformed, "transformed")] {
-        if has_divergent_sync(k, SyncSites::Barriers) {
+        if has_divergent_barrier(k) {
             return TvReport {
                 exits_proved: 0,
                 compares_proved: 0,

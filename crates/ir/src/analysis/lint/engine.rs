@@ -7,7 +7,7 @@
 //!   barrier-delimited *intervals* (the race detector's unit of work);
 //! * **divergence diagnostics**: barriers reachable under non-uniform
 //!   control flow, and swizzles whose enclosing guards can split a
-//!   producer/consumer lane pair;
+//!   producer/consumer lane pair (rules below);
 //! * **bounds diagnostics**: LDS accesses whose address provably exceeds
 //!   the kernel's declared `lds_bytes`.
 //!
@@ -28,6 +28,40 @@
 //! havocked over the whole range, lane-varying exactly when
 //! [`group_divergent_regs`] says they may be, and the two phase walks
 //! remain, so races across the back-edge are still paired.
+//!
+//! ### Divergence rules
+//!
+//! The walk classifies every guard (non-uniform vs. group-uniform,
+//! pair-uniform vs. pair-splitting) from the symbolic condition
+//! polynomials, which is strictly stronger than the syntactic register
+//! taint in [`crate::validate`]: a condition on `local_id >> 1` is
+//! recognized as pair-uniform, and a condition fed by an LDS load is
+//! treated as divergent (the LDS has no scalar path, so nothing proves all
+//! lanes read the same value). Two instruction classes are policed:
+//!
+//! * **`Barrier`** under any guard (`If` or `While`) whose condition can
+//!   differ between work-items of one group — a hang or undefined
+//!   behaviour on real hardware (OpenCL 1.x barrier divergence rule).
+//!   This generalizes the validator's "no barrier inside any `If`" rule
+//!   to arbitrarily nested, *uniformity-aware* regions: a barrier under
+//!   `if (n > 512)` with uniform `n` is fine.
+//! * **`Swizzle`** under a guard that is not uniform across even/odd lane
+//!   pairs. All [`crate::SwizzleMode`]s exchange within a pair, and GCN
+//!   `ds_swizzle` reads the source VGPR regardless of EXEC mask, so a
+//!   *pair-uniform* divergent guard (e.g. the RMT transforms' remapped
+//!   `lid' == 0`) is still safe: both lanes of a pair are enabled together
+//!   and the producer lane's register holds the live value. A guard on the
+//!   raw lane id can split a pair and read stale data.
+//!
+//!   The rule is *staleness-aware*: only swizzle sources **defined while a
+//!   pair-splitting guard is active** are flagged (tracked with a
+//!   definition clock against the guard's push time). A value computed
+//!   before the `if` is live in the disabled lane's register, so
+//!   exchanging it inside the guard is well-defined. Pair-uniformity
+//!   itself is closed over data flow: values loaded from pair-uniform
+//!   addresses, and values merged from both branches of a pair-uniform
+//!   `if`, compare equal across the pair and keep downstream guards
+//!   pair-uniform.
 //!
 //! Cost: the register environment is one dense table, edited in place. A
 //! branch saves and merges only the registers its two sides define (plus

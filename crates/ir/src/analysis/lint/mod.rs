@@ -10,8 +10,9 @@
 //!    diagnostic); global memory to a *bug-finder* posture (only definite
 //!    overlaps are reported), because data-dependent butterfly addressing
 //!    (FFT/bitonic-style) is statically unprovable yet correct.
-//! 2. **Divergence checking** ([`divergence`]) — barriers under
-//!    non-uniform control flow and swizzles under pair-splitting guards.
+//! 2. **Divergence checking** (in the [`engine`] walk; its module docs
+//!    give the rules) — barriers under non-uniform control flow and
+//!    swizzles under pair-splitting guards.
 //! 3. **LDS bounds** — accesses provably outside the declared
 //!    `lds_bytes` allocation (definite-only).
 //!
@@ -33,7 +34,6 @@
 //!   out of scope by design.
 //! * Scalar parameters are assumed non-negative (buffer bases and sizes).
 
-pub mod divergence;
 pub mod engine;
 pub mod expr;
 pub mod races;
@@ -86,54 +86,29 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Pass selection for [`lint_kernel`].
-#[derive(Debug, Clone, Copy)]
+/// Configuration for [`lint_kernel`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LintConfig {
     /// Launch-shape assumptions.
     pub assumptions: LintAssumptions,
-    /// Run the barrier-interval race detector.
-    pub races: bool,
-    /// Run the divergence checker.
-    pub divergence: bool,
-    /// Run the LDS bounds checker.
-    pub bounds: bool,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            assumptions: LintAssumptions::default(),
-            races: true,
-            divergence: true,
-            bounds: true,
-        }
-    }
 }
 
 impl LintConfig {
-    /// All passes, with the given launch assumptions.
+    /// Lints under the given launch assumptions.
     pub fn with_assumptions(assumptions: LintAssumptions) -> Self {
-        LintConfig {
-            assumptions,
-            ..Default::default()
-        }
+        LintConfig { assumptions }
     }
 }
 
-/// Runs the configured lint passes over `kernel` and returns every
-/// finding, deduplicated, in a deterministic order.
+/// Runs every lint pass over `kernel` and returns every finding,
+/// deduplicated, in a deterministic order: divergence, then LDS bounds,
+/// then races.
 pub fn lint_kernel(kernel: &Kernel, cfg: &LintConfig) -> Vec<Diagnostic> {
     let out = engine::Engine::new(kernel, cfg.assumptions).run();
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    if cfg.divergence {
-        diags.extend(out.divergence.iter().cloned());
-    }
-    if cfg.bounds {
-        diags.extend(out.bounds.iter().cloned());
-    }
-    if cfg.races {
-        diags.extend(races::check_intervals(&out, &cfg.assumptions));
-    }
+    let races = races::check_intervals(&out, &cfg.assumptions);
+    let mut diags = out.divergence;
+    diags.extend(out.bounds);
+    diags.extend(races);
     // Alternatives and loop phases can rediscover the same finding.
     let mut seen = crate::fxhash::FxHashSet::default();
     diags.retain(|d| seen.insert(format!("{d}")));

@@ -96,40 +96,23 @@ fn taint_block(insts: &[Inst], ctl_divergent: bool, nu: &mut RegSet) -> bool {
     grew
 }
 
-/// Which instructions [`has_divergent_sync`] treats as synchronization
-/// sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncSites {
-    /// `Barrier` only: the sites whose reachability must be group-uniform.
-    Barriers,
-    /// `Barrier` and `Swizzle`: also the lane exchanges, which read a
-    /// partner lane's register and so need their pair enabled together.
-    BarriersAndSwizzles,
-}
-
-/// `true` if any synchronization site of `kernel` sits under an
-/// `if`/`while` whose condition is group-divergent per
-/// [`group_divergent_regs`].
+/// `true` if any barrier of `kernel` sits under an `if`/`while` whose
+/// condition is group-divergent per [`group_divergent_regs`].
 ///
-/// With [`SyncSites::Barriers`] this is the converse of
-/// [`crate::validate`]'s barrier rules, packaged as a query so the
-/// translation validator can consume the same fixpoint without re-running
-/// full validation. With [`SyncSites::BarriersAndSwizzles`] it is the
-/// lint divergence pass's pre-filter: the symbolic guard classification is
-/// strictly stronger than the taint, so when this over-approximation finds
-/// no candidate site the engine cannot report one either.
-pub fn has_divergent_sync(kernel: &Kernel, sites: SyncSites) -> bool {
-    fn walk(insts: &[Inst], divergent: bool, nu: &RegSet, sites: SyncSites) -> bool {
+/// This is the converse of [`crate::validate`]'s barrier rules, packaged
+/// as a query so the translation validator can consume the same fixpoint
+/// without re-running full validation.
+pub fn has_divergent_barrier(kernel: &Kernel) -> bool {
+    fn walk(insts: &[Inst], divergent: bool, nu: &RegSet) -> bool {
         insts.iter().any(|inst| match inst {
             Inst::Barrier => divergent,
-            Inst::Swizzle { .. } => divergent && sites == SyncSites::BarriersAndSwizzles,
             Inst::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
                 let div = divergent || nu.contains(*cond);
-                walk(&then_blk.0, div, nu, sites) || walk(&else_blk.0, div, nu, sites)
+                walk(&then_blk.0, div, nu) || walk(&else_blk.0, div, nu)
             }
             Inst::While {
                 cond,
@@ -137,12 +120,12 @@ pub fn has_divergent_sync(kernel: &Kernel, sites: SyncSites) -> bool {
                 body,
             } => {
                 let div = divergent || nu.contains(*cond_reg);
-                walk(&cond.0, div, nu, sites) || walk(&body.0, div, nu, sites)
+                walk(&cond.0, div, nu) || walk(&body.0, div, nu)
             }
             _ => false,
         })
     }
-    walk(&kernel.body.0, false, &group_divergent_regs(kernel), sites)
+    walk(&kernel.body.0, false, &group_divergent_regs(kernel))
 }
 
 /// Computes the set of wavefront-uniform registers.
@@ -362,7 +345,7 @@ mod tests {
         let n = b.const_u32(32);
         let c = b.lt_u32(lid, n);
         b.if_(c, |b| b.barrier());
-        assert!(has_divergent_sync(&b.finish(), SyncSites::Barriers));
+        assert!(has_divergent_barrier(&b.finish()));
 
         let mut b = KernelBuilder::new("ok");
         let grp = b.group_id(0);
@@ -370,11 +353,11 @@ mod tests {
         let c = b.eq_u32(grp, zero);
         b.if_(c, |b| b.barrier());
         b.barrier();
-        assert!(!has_divergent_sync(&b.finish(), SyncSites::Barriers));
+        assert!(!has_divergent_barrier(&b.finish()));
     }
 
     #[test]
-    fn swizzles_count_as_sync_sites_only_when_asked() {
+    fn swizzles_are_not_barriers() {
         let mut b = KernelBuilder::new("swz");
         let lid = b.local_id(0);
         let n = b.const_u32(32);
@@ -383,7 +366,6 @@ mod tests {
             let _ = b.swizzle(lid, crate::SwizzleMode::SwapPairs);
         });
         let k = b.finish();
-        assert!(!has_divergent_sync(&k, SyncSites::Barriers));
-        assert!(has_divergent_sync(&k, SyncSites::BarriersAndSwizzles));
+        assert!(!has_divergent_barrier(&k));
     }
 }

@@ -21,9 +21,9 @@
 //! touching `local_id`/`global_id`, LDS loads, atomics, swizzles, or any
 //! value assigned under divergent control are rejected. The taint fixpoint
 //! itself lives in [`crate::analysis::uniformity`] (shared with the lint
-//! divergence pre-filter and the translation validator) — the lint passes
-//! in [`crate::analysis::lint`] carry the precise symbolic version of the
-//! same rule.
+//! walk's loop-budget fallback and the translation validator) — the lint
+//! passes in [`crate::analysis::lint`] carry the precise symbolic version
+//! of the same rule.
 
 use crate::analysis::uniformity::group_divergent_regs;
 use crate::inst::{BinOp, Block, Inst, Reg};

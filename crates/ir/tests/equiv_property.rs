@@ -5,7 +5,7 @@
 //! identity configuration).
 
 use rmt_ir::analysis::equiv::{self_check, validate_pair, ResidueKind, TvConfig};
-use rmt_ir::analysis::uniformity::{has_divergent_sync, SyncSites};
+use rmt_ir::analysis::uniformity::has_divergent_barrier;
 use rmt_ir::fuzz::{child_seed, generate, GenConfig};
 use rmt_ir::validate;
 
@@ -20,7 +20,7 @@ fn self_check_proves_every_fuzz_kernel() {
         let case = generate(child_seed(SEED, i), &cfg);
         assert_eq!(validate(&case.kernel), Ok(()), "case {i}");
         let rep = self_check(&case.kernel);
-        if has_divergent_sync(&case.kernel, SyncSites::Barriers) {
+        if has_divergent_barrier(&case.kernel) {
             // Outside the engine's fragment: must refuse, not misprove.
             assert!(
                 rep.residue

@@ -180,15 +180,14 @@ impl PowerConfig {
     }
 }
 
-/// Full device configuration.
+/// Full device configuration. The wavefront width is not a setting:
+/// every wave has [`crate::alu::LANES`] lanes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Number of compute units.
     pub num_cus: usize,
     /// SIMD units per CU.
     pub simds_per_cu: usize,
-    /// Lanes per wavefront.
-    pub wavefront_size: usize,
     /// Maximum wavefronts resident per SIMD.
     pub max_waves_per_simd: usize,
     /// VGPRs available per SIMD lane slice (256 on GCN).
@@ -235,7 +234,6 @@ impl DeviceConfig {
         DeviceConfig {
             num_cus: 12,
             simds_per_cu: 4,
-            wavefront_size: 64,
             max_waves_per_simd: 10,
             vgprs_per_simd: 256,
             reserved_vgprs: 2,
@@ -291,7 +289,7 @@ mod tests {
         assert_eq!(c.num_cus, 12);
         assert_eq!(c.total_simds(), 48);
         assert_eq!(c.max_waves_per_cu(), 40);
-        assert_eq!(c.wavefront_size, 64);
+        assert_eq!(crate::alu::LANES, 64, "64-lane wavefronts");
         assert_eq!(c.lds_per_cu, 65536);
     }
 
