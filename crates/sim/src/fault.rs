@@ -10,7 +10,10 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// A bit in one lane of one virtual register of one wavefront
-    /// (VRF fault).
+    /// (VRF fault). The flip lands on the slot that holds the register at
+    /// the wave's PC. A register dead there has no slot: the fault counts
+    /// as applied and changes nothing, as it would in a file of all
+    /// virtual registers.
     Vgpr {
         /// Global linear work-group id.
         group: usize,
@@ -25,7 +28,8 @@ pub enum FaultTarget {
     },
     /// A bit in a scalar register: the corruption is observed by *all*
     /// lanes of the wavefront, because the scalar unit broadcasts (SRF
-    /// fault). Only meaningful for registers the compiler scalarized.
+    /// fault). Only meaningful for registers the compiler scalarized. A
+    /// dead register is handled as for [`FaultTarget::Vgpr`].
     Sgpr {
         /// Global linear work-group id.
         group: usize,

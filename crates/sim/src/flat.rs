@@ -8,7 +8,7 @@
 use crate::alu::{self, LANES};
 use crate::error::SimError;
 use rmt_ir::analysis::uniformity::{is_scalar_inst, uniform_regs};
-use rmt_ir::analysis::{instruction_mix, register_pressure, InstMix};
+use rmt_ir::analysis::{instruction_mix, InstMix};
 use rmt_ir::{AtomicOp, Block, Builtin, Inst, Kernel, MemSpace, Param, Reg, RegSet, SwizzleMode};
 
 /// A lowered instruction with resolved control targets.
@@ -92,10 +92,12 @@ pub(crate) enum Code {
     Select,
     /// [`Inst::Swizzle`].
     Swizzle(SwizzleMode),
-    /// Global [`Inst::Load`].
-    LoadGlobal,
-    /// LDS [`Inst::Load`].
-    LoadLds,
+    /// Global [`Inst::Load`] with its destination register, which keys
+    /// the wait on the load's completion.
+    LoadGlobal(Reg),
+    /// LDS [`Inst::Load`] with its destination register, as for
+    /// [`Code::LoadGlobal`].
+    LoadLds(Reg),
     /// Global [`Inst::Store`].
     StoreGlobal,
     /// LDS [`Inst::Store`].
@@ -112,22 +114,22 @@ pub(crate) enum Code {
 ///
 /// [`compile`] decodes each op once into this copyable record, so the
 /// interpreter matches neither [`FlatOp`] nor [`Inst`] per wave issue:
-/// the [`Code`] to dispatch on, the register lane offsets its operands
-/// live at, the source registers that gate issue on in-flight loads (GCN
+/// the [`Code`] to dispatch on, the lane offsets of the slots its operands
+/// live in, the source registers that gate issue on in-flight loads (GCN
 /// `s_waitcnt` style), and its issue rate and unit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Decoded {
     /// What the op does.
     pub code: Code,
-    /// Lane offset (`register × LANES`) of the destination register; 0
-    /// when the op writes none.
+    /// Lane offset (`slot × LANES`) of the destination register's slot;
+    /// 0 when the op writes none.
     pub dst: usize,
-    /// Lane offsets of the operands, in operand order: `[a, b]`,
+    /// Lane offsets of the operands' slots, in operand order: `[a, b]`,
     /// `[cond, if_true, if_false]`, `[addr, value]`, or `[addr, value,
     /// cmp]` for an atomic, whose `cmp` slot repeats `value` unless it is
     /// a compare-exchange.
     pub src: [usize; 3],
-    /// Source registers read by the op (only the first `nsrcs` entries
+    /// Virtual registers read by the op (only the first `nsrcs` entries
     /// are meaningful). No instruction reads more than three registers
     /// (`Select` and `CmpXchg` atomics are the widest).
     pub srcs: [Reg; 3],
@@ -152,9 +154,9 @@ fn code_of(inst: &Inst) -> Code {
         Inst::Cmp { op, ty, .. } => Code::Alu2(alu::cmp_fn(op, ty)),
         Inst::Select { .. } => Code::Select,
         Inst::Swizzle { mode, .. } => Code::Swizzle(mode),
-        Inst::Load { space, .. } => match space {
-            MemSpace::Global => Code::LoadGlobal,
-            MemSpace::Local => Code::LoadLds,
+        Inst::Load { dst, space, .. } => match space {
+            MemSpace::Global => Code::LoadGlobal(dst),
+            MemSpace::Local => Code::LoadLds(dst),
         },
         Inst::Store { space, .. } => match space {
             MemSpace::Global => Code::StoreGlobal,
@@ -174,8 +176,14 @@ fn code_of(inst: &Inst) -> Code {
     }
 }
 
+// The interpreter fetches one record per wave instruction: keep it to one
+// cache line.
+const _: () = assert!(size_of::<Decoded>() <= 64);
+
 impl Decoded {
-    fn of(op: &FlatOp, uniform: &RegSet) -> Decoded {
+    /// Decodes `op`, with each register at the lane offset of its slot in
+    /// `homes`.
+    fn of(op: &FlatOp, uniform: &RegSet, homes: &[Home]) -> Decoded {
         let mut srcs = [Reg(0); 3];
         let mut nsrcs = 0u8;
         let mut push = |r: Reg| {
@@ -202,7 +210,11 @@ impl Decoded {
             }
             FlatOp::LoopEnd { begin_pc } => (Code::LoopEnd { begin_pc }, None),
         };
-        let mut src = srcs.map(|r| r.0 as usize * LANES);
+        let offset = |r: Reg| homes[r.0 as usize].slot as usize * LANES;
+        let mut src = [0; 3];
+        for (o, &r) in src.iter_mut().zip(&srcs[..nsrcs as usize]) {
+            *o = offset(r);
+        }
         if let Some(Inst::Atomic { op, .. }) = inst {
             if !matches!(op, AtomicOp::CmpXchg { .. }) {
                 src[2] = src[1];
@@ -210,7 +222,7 @@ impl Decoded {
         }
         Decoded {
             code,
-            dst: inst.and_then(Inst::dst).map_or(0, |r| r.0 as usize * LANES),
+            dst: inst.and_then(Inst::dst).map_or(0, offset),
             src,
             srcs,
             nsrcs,
@@ -218,6 +230,189 @@ impl Decoded {
             // Mask manipulation runs on the scalar path.
             scalar: inst.is_none_or(|inst| is_scalar_inst(inst, uniform)),
         }
+    }
+}
+
+/// Where a virtual register lives in a wave's register file: its slot, and
+/// the inclusive flat-PC span over which the slot holds it and nothing
+/// else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Home {
+    /// Slot index; the register's lanes are `slot × LANES ..`.
+    pub slot: u32,
+    /// First PC of the span ([`UNUSED`] for a register no op names).
+    pub first: u32,
+    /// Last PC of the span.
+    pub last: u32,
+}
+
+/// [`Home::first`] of a register no op names.
+const UNUSED: u32 = u32::MAX;
+
+/// The register allocation of a flat program.
+struct Allocation {
+    /// Peak overlap of the live spans: the pressure `register_pressure`
+    /// reports for the source kernel.
+    pressure: u32,
+    /// Slots each wave holds.
+    slots: u32,
+    /// Per virtual register.
+    homes: Vec<Home>,
+}
+
+/// Allocates the `nregs` virtual registers of `ops` onto slots.
+///
+/// One forward walk gives each register its live span, from its first to
+/// its last access, widened over the outermost loop around either end (the
+/// value must survive the back-edge), as `rmt_ir::analysis::live_spans`
+/// does in IR order. The peak overlap of these spans is the pressure.
+///
+/// A lane a write skips keeps what the register held before. A slot shared
+/// with an earlier register would hold that register's value there
+/// instead, so any register some lane may read before writing it must not
+/// share. The same walk tracks the registers written in every active lane
+/// (a must-defined set, intersected where the two arms of an `if` meet,
+/// and reset to the loop test's set where a loop exits), and a read of a
+/// register outside it starts the register's span at PC 0. So does every
+/// swizzle source, because a swizzle reads other lanes, active or not.
+/// Such a register gets a slot no other register has held, which reads
+/// zero until written, as a fresh virtual register does.
+///
+/// Slots are then assigned by linear scan over the spans in start order,
+/// with a slot freed one PC after its span ends, which needs exactly as
+/// many slots as the spans' peak overlap.
+fn allocate(ops: &[FlatOp], nregs: usize) -> Allocation {
+    let words = nregs.div_ceil(64);
+    let bit = |r: Reg| (r.0 as usize / 64, 1u64 << (r.0 % 64));
+    let mut homes = vec![
+        Home {
+            slot: 0,
+            first: UNUSED,
+            last: 0,
+        };
+        nregs
+    ];
+    let mut forced = vec![0u64; words];
+    let mut defined = vec![0u64; words];
+    // `defined` at each open `if` (its entry, then its then-arm's exit) and
+    // loop (its test), `words` words a set.
+    let mut saved: Vec<u64> = Vec::new();
+    let mut outer_loop: Option<(u32, u32)> = None;
+    for (pc, op) in ops.iter().enumerate() {
+        let pc = pc as u32;
+        if outer_loop.is_some_and(|(_, end)| pc > end) {
+            outer_loop = None;
+        }
+        let (lo, hi) = outer_loop.unwrap_or((pc, pc));
+        let mut touch = |r: Reg| {
+            let h = &mut homes[r.0 as usize];
+            if h.first == UNUSED {
+                h.first = lo;
+            }
+            h.last = hi;
+        };
+        let mut read = |r: Reg, exchange: bool| {
+            touch(r);
+            let (w, m) = bit(r);
+            if exchange || defined[w] & m == 0 {
+                forced[w] |= m;
+            }
+        };
+        match *op {
+            FlatOp::Op(ref inst) => {
+                let exchange = matches!(inst, Inst::Swizzle { .. });
+                inst.for_each_src(|r| read(r, exchange));
+                if let Some(d) = inst.dst() {
+                    touch(d);
+                    let (w, m) = bit(d);
+                    defined[w] |= m;
+                }
+            }
+            FlatOp::IfBegin { cond, .. } => {
+                read(cond, false);
+                saved.extend_from_slice(&defined);
+            }
+            FlatOp::Else { .. } => {
+                // [entry] with the then-exit live becomes [entry, then-exit]
+                // with the entry live.
+                let n = saved.len();
+                saved.extend_from_within(n - words..);
+                saved[n..].swap_with_slice(&mut defined);
+            }
+            FlatOp::EndIf => {
+                let n = saved.len() - words;
+                for (d, t) in defined.iter_mut().zip(&saved[n..]) {
+                    *d &= t;
+                }
+                saved.truncate(n - words);
+            }
+            FlatOp::LoopBegin { end_pc } => {
+                outer_loop.get_or_insert((pc, end_pc as u32 - 1));
+            }
+            FlatOp::LoopTest { cond, .. } => {
+                read(cond, false);
+                saved.extend_from_slice(&defined);
+            }
+            FlatOp::LoopEnd { .. } => {
+                let n = saved.len() - words;
+                defined.copy_from_slice(&saved[n..]);
+                saved.truncate(n);
+            }
+        }
+    }
+
+    // Peak overlap of the spans as they are, then start the forced ones at
+    // PC 0.
+    let npc = ops.len();
+    let mut delta = vec![0i32; npc + 1];
+    for h in homes.iter().filter(|h| h.first != UNUSED) {
+        delta[h.first as usize] += 1;
+        delta[h.last as usize + 1] -= 1;
+    }
+    let (mut live, mut pressure) = (0i32, 0i32);
+    for d in delta {
+        live += d;
+        pressure = pressure.max(live);
+    }
+    for (r, h) in homes.iter_mut().enumerate() {
+        if forced[r / 64] >> (r % 64) & 1 == 1 {
+            h.first = 0;
+        }
+    }
+
+    // Linear scan: bucket the spans by start and by end (linked lists in
+    // register order), then sweep the PCs, taking slots for the spans that
+    // start at a PC before freeing those of the spans that end there.
+    const NIL: u32 = u32::MAX;
+    let (mut start_head, mut end_head) = (vec![NIL; npc], vec![NIL; npc]);
+    let (mut start_next, mut end_next) = (vec![NIL; nregs], vec![NIL; nregs]);
+    for (r, h) in homes.iter().enumerate().rev() {
+        if h.first != UNUSED {
+            start_next[r] = std::mem::replace(&mut start_head[h.first as usize], r as u32);
+            end_next[r] = std::mem::replace(&mut end_head[h.last as usize], r as u32);
+        }
+    }
+    let mut free: Vec<u32> = Vec::new();
+    let mut slots = 0u32;
+    for pc in 0..npc {
+        let mut r = start_head[pc];
+        while r != NIL {
+            homes[r as usize].slot = free.pop().unwrap_or_else(|| {
+                slots += 1;
+                slots - 1
+            });
+            r = start_next[r as usize];
+        }
+        let mut r = end_head[pc];
+        while r != NIL {
+            free.push(homes[r as usize].slot);
+            r = end_next[r as usize];
+        }
+    }
+    Allocation {
+        pressure: pressure as u32,
+        slots,
+        homes,
     }
 }
 
@@ -232,10 +427,18 @@ pub struct CompiledKernel {
     pub lds_bytes: u32,
     /// The flat program.
     pub ops: Vec<FlatOp>,
-    /// Estimated VGPRs per work-item (register pressure).
+    /// Estimated VGPRs per work-item (register pressure): the peak number
+    /// of simultaneously live registers, which occupancy charges.
     pub pressure: u32,
-    /// Number of virtual registers to allocate per lane.
+    /// Number of virtual registers (the kernel's register count, at least
+    /// 1): the register numbers fault targets and load waits name. A wave
+    /// holds [`CompiledKernel::slots`] of them at a time, not all.
     pub nregs: u32,
+    /// Register slots each wave's file holds: the peak overlap of the
+    /// allocated spans. It equals `pressure` unless some register is read
+    /// before it is written in some lane, or feeds a swizzle; such a
+    /// register keeps a slot of its own from PC 0.
+    pub slots: u32,
     /// Static instruction mix of the source kernel.
     pub mix: InstMix,
     /// Per-op source line: the pre-order index of the IR instruction each
@@ -246,6 +449,8 @@ pub struct CompiledKernel {
     pub lines: Vec<u32>,
     /// Per-op decoded form the interpreter runs (parallel to `ops`).
     pub(crate) decoded: Vec<Decoded>,
+    /// Where each virtual register lives (indexed by register number).
+    pub(crate) homes: Vec<Home>,
 }
 
 impl CompiledKernel {
@@ -258,6 +463,14 @@ impl CompiledKernel {
     pub fn op_srcs(&self, pc: usize) -> &[Reg] {
         let d = &self.decoded[pc];
         &d.srcs[..d.nsrcs as usize]
+    }
+
+    /// The lane offset of the slot holding virtual register `reg` when a
+    /// wave is about to run op `pc`, or `None` when no slot holds it then:
+    /// the register is dead, so nothing reads what it held.
+    pub(crate) fn slot_at(&self, reg: u32, pc: usize) -> Option<usize> {
+        let h = self.homes.get(reg as usize)?;
+        (h.first as usize <= pc && pc <= h.last as usize).then_some(h.slot as usize * LANES)
     }
 }
 
@@ -339,18 +552,25 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, SimError> {
     lower_block(&kernel.body, &mut ops, &mut lines, &mut next_line);
     debug_assert_eq!(ops.len(), lines.len());
 
+    let nregs = kernel.next_reg.max(1);
+    let alloc = allocate(&ops, nregs as usize);
     let uniform = uniform_regs(kernel);
-    let decoded = ops.iter().map(|op| Decoded::of(op, &uniform)).collect();
+    let decoded = ops
+        .iter()
+        .map(|op| Decoded::of(op, &uniform, &alloc.homes))
+        .collect();
     Ok(CompiledKernel {
         name: kernel.name.clone(),
         params: kernel.params.clone(),
         lds_bytes: kernel.lds_bytes,
         ops,
-        pressure: register_pressure(kernel),
-        nregs: kernel.next_reg.max(1),
+        pressure: alloc.pressure,
+        nregs,
+        slots: alloc.slots,
         mix: instruction_mix(kernel),
         lines,
         decoded,
+        homes: alloc.homes,
     })
 }
 
@@ -430,17 +650,57 @@ mod tests {
                 _ => {}
             }
             assert_eq!(&d.srcs[..d.nsrcs as usize], want.as_slice());
+            let slot_of = |r: Reg| ck.homes[r.0 as usize].slot as usize;
             for (r, &off) in want.iter().zip(&d.src) {
-                assert_eq!(off, r.0 as usize * LANES, "lane offset of {r}");
+                assert_eq!(off, slot_of(*r) * LANES, "lane offset of {r}");
             }
             if let FlatOp::Op(inst) = op {
-                let dst = inst.dst().map_or(0, |r| r.0 as usize * LANES);
+                let dst = inst.dst().map_or(0, |r| slot_of(r) * LANES);
                 assert_eq!(d.dst, dst);
             }
         }
         // The add reads both operands; the IfBegin reads the condition.
         let add = ck.decoded.iter().find(|d| d.nsrcs == 2).expect("binary op");
         assert_eq!(add.srcs[..2], [gid, two]);
+    }
+
+    #[test]
+    fn registers_some_lane_reads_unwritten_start_at_pc_0() {
+        let mut b = KernelBuilder::new("k");
+        let gid = b.global_id(0);
+        let (both, one_arm, in_body) = (b.fresh(), b.fresh(), b.fresh());
+        let set = |b: &mut KernelBuilder, dst: Reg| b.mov_to(dst, gid);
+        b.if_else(
+            gid,
+            |b| {
+                set(b, both);
+                set(b, one_arm);
+            },
+            |b| set(b, both),
+        );
+        let zero = b.const_u32(0);
+        b.for_range(zero, gid, |b, _| set(b, in_body));
+        let sum = b.add_u32(both, one_arm);
+        let _ = b.add_u32(sum, in_body);
+        let ck = compile(&b.finish()).unwrap();
+        let first = |r: Reg| ck.homes[r.0 as usize].first;
+        // Written in both arms: defined after the `if`.
+        assert!(first(both) > 0);
+        // Written in one arm, or only in a loop body some lanes may never
+        // enter: read unwritten in some lane.
+        assert_eq!(first(one_arm), 0);
+        assert_eq!(first(in_body), 0);
+        // Registers that share a slot never overlap.
+        for (r, h) in ck
+            .homes
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.first != UNUSED)
+        {
+            for q in ck.homes[r + 1..].iter().filter(|q| q.first != UNUSED) {
+                assert!(q.slot != h.slot || q.first > h.last || q.last < h.first);
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum OccupancyLimiter {
 /// attacks (Sections 6.4 and 7.4 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
-    /// VGPRs allocated per work-item (pressure + reserved + inflation).
+    /// VGPRs allocated per work-item (pressure + reserved).
     pub vgprs_per_wave: u32,
     /// Wavefronts per work-group.
     pub waves_per_group: usize,
@@ -71,13 +71,6 @@ pub struct LaunchConfig {
     pub local: [usize; 3],
     /// Positional arguments.
     pub args: Vec<Arg>,
-    /// Extra VGPRs charged per work-item *for occupancy only* — the
-    /// paper's "inflate resource usage" methodology for isolating the cost
-    /// of doubled work-groups (Figures 4 and 7).
-    pub extra_vgprs: u32,
-    /// Extra LDS bytes charged per group for occupancy only (same
-    /// methodology).
-    pub extra_lds: u32,
     /// Fault injections to perform.
     pub faults: FaultPlan,
     /// Records an execution trace into [`LaunchStats::trace`].
@@ -98,8 +91,6 @@ impl LaunchConfig {
             global,
             local,
             args: Vec::new(),
-            extra_vgprs: 0,
-            extra_lds: 0,
             faults: FaultPlan::none(),
             trace: None,
             profile: None,
@@ -120,18 +111,6 @@ impl LaunchConfig {
     /// Replaces the argument list.
     pub fn args(mut self, args: Vec<Arg>) -> Self {
         self.args = args;
-        self
-    }
-
-    /// Sets occupancy-only VGPR inflation.
-    pub fn extra_vgprs(mut self, v: u32) -> Self {
-        self.extra_vgprs = v;
-        self
-    }
-
-    /// Sets occupancy-only LDS inflation (bytes per group).
-    pub fn extra_lds(mut self, v: u32) -> Self {
-        self.extra_lds = v;
         self
     }
 
@@ -233,6 +212,7 @@ impl LaunchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultTarget, Injection};
 
     #[test]
     fn geometry_helpers() {
@@ -249,13 +229,18 @@ mod tests {
 
     #[test]
     fn builder_chains() {
+        let plan = FaultPlan {
+            injections: vec![Injection {
+                after_dyn_inst: 3,
+                target: FaultTarget::GlobalMem { addr: 0, bit: 1 },
+            }],
+        };
         let c = LaunchConfig::new_1d(128, 64)
             .arg(Arg::U32(7))
-            .extra_vgprs(10)
-            .extra_lds(256);
-        assert_eq!(c.args.len(), 1);
-        assert_eq!(c.extra_vgprs, 10);
-        assert_eq!(c.extra_lds, 256);
+            .args(vec![Arg::U32(1), Arg::U32(2)])
+            .faults(plan.clone());
+        assert_eq!(c.args, vec![Arg::U32(1), Arg::U32(2)]);
+        assert_eq!(c.faults, plan);
     }
 
     #[test]

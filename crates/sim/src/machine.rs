@@ -65,7 +65,7 @@ use crate::flat::{Code, CompiledKernel, Decoded, FlatOp};
 use crate::launch::{LaunchConfig, LaunchStats, Occupancy, OccupancyLimiter};
 use crate::memory::{DramTimer, Extent, GlobalMemory};
 use crate::power::PowerModel;
-use rmt_ir::{AtomicOp, Builtin, ParamKind};
+use rmt_ir::{AtomicOp, Builtin, ParamKind, Reg};
 
 /// The lanes of the register at lane offset `off`.
 fn lanes(regs: &[u32], off: usize) -> &[u32; LANES] {
@@ -245,9 +245,11 @@ struct Wave {
     pc: usize,
     mask: u64,
     stack: Vec<Frame>,
+    /// The register slots, `LANES` lanes each (`CompiledKernel::slots`).
     regs: Vec<u32>,
-    /// Completion tick of the in-flight load producing each register
-    /// (GCN-style s_waitcnt: consumers stall at first use, not at issue).
+    /// Completion tick of the in-flight load producing each virtual
+    /// register (GCN-style s_waitcnt: consumers stall at first use, not at
+    /// issue).
     reg_ready: Vec<u64>,
     /// Producer kind of the in-flight load gating each register
     /// (parallel to `reg_ready`): [`SRC_GLOBAL`] or [`SRC_LDS`]. Only
@@ -413,14 +415,9 @@ impl Drop for Machine<'_> {
 pub(crate) fn occupancy(
     cfg: &DeviceConfig,
     kernel: &CompiledKernel,
-    launch: &LaunchConfig,
     group_size: usize,
 ) -> Result<Occupancy, SimError> {
-    let vgprs = kernel
-        .pressure
-        .max(1)
-        .saturating_add(cfg.reserved_vgprs)
-        .saturating_add(launch.extra_vgprs);
+    let vgprs = kernel.pressure.max(1).saturating_add(cfg.reserved_vgprs);
     if vgprs > cfg.vgprs_per_simd {
         return Err(SimError::Unschedulable(format!(
             "kernel needs {vgprs} VGPRs, SIMD has {}",
@@ -435,7 +432,7 @@ pub(crate) fn occupancy(
             "group of {waves_per_group} waves exceeds CU capacity of {max_waves_cu}"
         )));
     }
-    let lds_total = kernel.lds_bytes as u64 + launch.extra_lds as u64;
+    let lds_total = kernel.lds_bytes as u64;
     let groups_by_lds = (cfg.lds_per_cu as u64)
         .checked_div(lds_total)
         .map_or(usize::MAX, |g| g as usize);
@@ -538,7 +535,7 @@ impl<'a> Machine<'a> {
             param_values.push(v);
         }
 
-        let occ = occupancy(cfg, kernel, launch, group_size)?;
+        let occ = occupancy(cfg, kernel, group_size)?;
         let group_dims = [
             launch.global[0] / launch.local[0],
             launch.global[1] / launch.local[1],
@@ -657,7 +654,7 @@ impl<'a> Machine<'a> {
                 pc: 0,
                 mask,
                 stack: Vec::new(),
-                regs: zeroed(&mut self.st.regs, self.kernel.nregs as usize * LANES),
+                regs: zeroed(&mut self.st.regs, self.kernel.slots as usize * LANES),
                 reg_ready: zeroed(&mut self.st.reg_ready, self.kernel.nregs as usize),
                 reg_src: zeroed(&mut self.st.reg_src, self.kernel.nregs as usize),
                 ready_at: t,
@@ -761,7 +758,7 @@ impl<'a> Machine<'a> {
                 if !w.done && !w.at_barrier {
                     any_runnable = true;
                     if w.ready_at == now {
-                        self.step_checked(wid, now)?;
+                        self.step_lockstep(wid, now)?;
                     }
                 }
                 wid += 1;
@@ -773,6 +770,14 @@ impl<'a> Machine<'a> {
             }
             now += 1;
         }
+    }
+
+    /// [`Machine::step_checked`] for the lock-step scan, kept out of line:
+    /// inlined, it slowed that scan by about a quarter at paper scale
+    /// (`repro bench`), although the scan itself did not change.
+    #[inline(never)]
+    fn step_lockstep(&mut self, wid: usize, t: u64) -> Result<(), SimError> {
+        self.step_checked(wid, t)
     }
 
     /// Runs the launch to completion.
@@ -856,14 +861,16 @@ impl<'a> Machine<'a> {
                 if reg >= self.kernel.nregs || lane >= LANES {
                     return false;
                 }
-                match self.find_wave(group, wave) {
-                    Some(wid) => {
-                        let idx = reg as usize * LANES + lane;
-                        self.waves[wid].regs[idx] ^= 1 << (bit % 32);
-                        true
-                    }
-                    None => false,
+                let Some(wid) = self.find_wave(group, wave) else {
+                    return false;
+                };
+                let w = &mut self.waves[wid];
+                // A register no slot holds at the wave's PC is dead there:
+                // the flip lands and changes nothing.
+                if let Some(off) = self.kernel.slot_at(reg, w.pc) {
+                    w.regs[off + lane] ^= 1 << (bit % 32);
                 }
+                true
             }
             FaultTarget::Sgpr {
                 group,
@@ -874,16 +881,16 @@ impl<'a> Machine<'a> {
                 if reg >= self.kernel.nregs {
                     return false;
                 }
-                match self.find_wave(group, wave) {
-                    Some(wid) => {
-                        for lane in 0..LANES {
-                            let idx = reg as usize * LANES + lane;
-                            self.waves[wid].regs[idx] ^= 1 << (bit % 32);
-                        }
-                        true
+                let Some(wid) = self.find_wave(group, wave) else {
+                    return false;
+                };
+                let w = &mut self.waves[wid];
+                if let Some(off) = self.kernel.slot_at(reg, w.pc) {
+                    for v in &mut w.regs[off..off + LANES] {
+                        *v ^= 1 << (bit % 32);
                     }
-                    None => false,
                 }
+                true
             }
             FaultTarget::Lds { group, offset, bit } => {
                 if let Some(g) = self.groups.iter_mut().find(|g| g.linear == group) {
@@ -1228,10 +1235,10 @@ impl<'a> Machine<'a> {
                 self.waves[wid].pc = pc + 1;
                 self.charge_alu(wid, pc, t, false, false);
             }
-            Code::LoadGlobal => self.exec_global_load(wid, pc, t, d)?,
-            Code::LoadLds => self.exec_lds(wid, pc, t, d, true)?,
+            Code::LoadGlobal(dst) => self.exec_global_load(wid, pc, t, d, dst)?,
+            Code::LoadLds(dst) => self.exec_lds(wid, pc, t, d, Some(dst))?,
             Code::StoreGlobal => self.exec_global_store(wid, pc, t, d)?,
-            Code::StoreLds => self.exec_lds(wid, pc, t, d, false)?,
+            Code::StoreLds => self.exec_lds(wid, pc, t, d, None)?,
             Code::AtomicGlobal { op, ret } => self.exec_global_atomic(wid, pc, t, d, op, ret)?,
             Code::AtomicLds { op, ret } => self.exec_lds_atomic(wid, pc, t, d, op, ret)?,
             Code::Barrier => {
@@ -1322,13 +1329,15 @@ impl<'a> Machine<'a> {
     /// A load `d.scalar` marks wavefront-uniform is one the compiler
     /// would issue on the scalar unit (GCN s_load through the constant
     /// cache) — it occupies the SU instead of the vector memory unit, but
-    /// still observes the (potentially stale) cached line data.
+    /// still observes the (potentially stale) cached line data. `dst` is
+    /// the loaded register, whose first use waits for the data.
     fn exec_global_load(
         &mut self,
         wid: usize,
         pc: usize,
         t: u64,
         d: &Decoded,
+        dst: Reg,
     ) -> Result<(), SimError> {
         let (mask, cu) = (self.waves[wid].mask, self.waves[wid].cu);
         let lat = self.cfg.lat;
@@ -1412,8 +1421,8 @@ impl<'a> Machine<'a> {
         let w = &mut self.waves[wid];
         w.pc = pc + 1;
         w.ready_at = issue + lat.salu_issue;
-        w.reg_ready[d.dst / LANES] = done;
-        w.reg_src[d.dst / LANES] = SRC_GLOBAL;
+        w.reg_ready[dst.0 as usize] = done;
+        w.reg_src[dst.0 as usize] = SRC_GLOBAL;
         let cat = if d.scalar {
             crate::profile::SlotCat::IssueSalu
         } else {
@@ -1615,14 +1624,14 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// An LDS load (`load`) or store.
+    /// An LDS load into register `load`, or a store when `load` is `None`.
     fn exec_lds(
         &mut self,
         wid: usize,
         pc: usize,
         t: u64,
         d: &Decoded,
-        load: bool,
+        load: Option<Reg>,
     ) -> Result<(), SimError> {
         let w = &self.waves[wid];
         let (mask, cu, gidx) = (w.mask, w.cu, w.group);
@@ -1645,7 +1654,7 @@ impl<'a> Machine<'a> {
         self.power.deposit(issue, self.cfg.power.lds_nj);
 
         // Functional, on direct LDS and register borrows.
-        if load {
+        if load.is_some() {
             let lds = &self.groups[gidx].lds;
             with_operands(
                 &mut self.waves[wid].regs,
@@ -1674,9 +1683,9 @@ impl<'a> Machine<'a> {
         // Loads release the wave at issue; the result register is gated
         // on completion.
         w.ready_at = issue + lat.lds_issue;
-        if load {
-            w.reg_ready[d.dst / LANES] = done;
-            w.reg_src[d.dst / LANES] = SRC_LDS;
+        if let Some(dst) = load {
+            w.reg_ready[dst.0 as usize] = done;
+            w.reg_src[dst.0 as usize] = SRC_LDS;
         }
         self.profile_issue(
             wid,

@@ -156,7 +156,9 @@ fn alu_bound_kernel_scales_with_work() {
 fn vgpr_inflation_reduces_occupancy_and_hurts_memory_bound_kernels() {
     let n = 32 * 1024;
     let run = |extra: u32| {
-        let mut dev = device();
+        let mut cfg = DeviceConfig::small_test();
+        cfg.reserved_vgprs += extra;
+        let mut dev = Device::new(cfg);
         let ib = dev.create_buffer(n as u32 * 4);
         let ob = dev.create_buffer(n as u32 * 4);
         let s = dev
@@ -164,8 +166,7 @@ fn vgpr_inflation_reduces_occupancy_and_hurts_memory_bound_kernels() {
                 &stream_kernel(),
                 &LaunchConfig::new_1d(n, 64)
                     .arg(Arg::Buffer(ib))
-                    .arg(Arg::Buffer(ob))
-                    .extra_vgprs(extra),
+                    .arg(Arg::Buffer(ob)),
             )
             .unwrap();
         (s.cycles, s.occupancy.waves_per_cu)
@@ -184,28 +185,28 @@ fn vgpr_inflation_reduces_occupancy_and_hurts_memory_bound_kernels() {
 
 #[test]
 fn lds_inflation_limits_resident_groups() {
-    let mut b = KernelBuilder::new("ldsuser");
-    b.set_lds_bytes(1024);
-    let out = b.buffer_param("out");
-    let lid = b.local_id(0);
-    let four = b.const_u32(4);
-    let lo = b.mul_u32(lid, four);
-    b.store_local(lo, lid);
-    b.barrier();
-    let v = b.load_local(lo);
-    let gid = b.global_id(0);
-    let oa = b.elem_addr(out, gid);
-    b.store_global(oa, v);
-    let k = b.finish();
+    let kernel = |lds_bytes: u32| {
+        let mut b = KernelBuilder::new("ldsuser");
+        b.set_lds_bytes(lds_bytes);
+        let out = b.buffer_param("out");
+        let lid = b.local_id(0);
+        let four = b.const_u32(4);
+        let lo = b.mul_u32(lid, four);
+        b.store_local(lo, lid);
+        b.barrier();
+        let v = b.load_local(lo);
+        let gid = b.global_id(0);
+        let oa = b.elem_addr(out, gid);
+        b.store_global(oa, v);
+        b.finish()
+    };
 
     let mut dev = device();
     let ob = dev.create_buffer(4096 * 4);
     let mut occ = |extra: u32| {
         dev.launch(
-            &k,
-            &LaunchConfig::new_1d(4096, 64)
-                .arg(Arg::Buffer(ob))
-                .extra_lds(extra),
+            &kernel(1024 + extra),
+            &LaunchConfig::new_1d(4096, 64).arg(Arg::Buffer(ob)),
         )
         .unwrap()
         .occupancy
