@@ -43,14 +43,14 @@
 //! campaigns and the differential fuzz oracle measure dynamically.
 
 use crate::analysis::uniformity::has_divergent_barrier;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::inst::{
     AtomicOp, BinOp, Block, Builtin, CmpOp, Dim, Inst, MemSpace, Reg, SwizzleMode, UnOp,
 };
 use crate::kernel::Kernel;
 use crate::regset::{RegMap, RegSet};
 use crate::types::Ty;
-use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Public configuration and report types
@@ -239,7 +239,7 @@ enum Atom {
 }
 
 /// Operator tag of an uninterpreted (or partially interpreted) node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum OpTag {
     Bin(BinOp, Ty),
     Un(UnOp),
@@ -262,19 +262,68 @@ enum OpTag {
 /// wrapping-`u32` coefficients; parts never reference other `Affine`
 /// nodes (construction flattens them), so structural equality of the
 /// hash-consed nodes is canonical-form equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A node's parts or arguments live in the arena's shared pools, as
+/// `len` entries from `at`; [`Key`] is the same node with them borrowed.
+#[derive(Debug, Clone, Copy)]
 enum TermKind {
-    Affine { k: u32, parts: Vec<(u32, TermId)> },
+    Affine { k: u32, at: u32, len: u32 },
     Atom(Atom),
-    Op { tag: OpTag, args: Vec<TermId> },
+    Op { tag: OpTag, at: u32, len: u32 },
 }
+
+/// A node as hash-consing compares it: its parts or arguments in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key<'a> {
+    Affine { k: u32, parts: &'a [(u32, TermId)] },
+    Atom(Atom),
+    Op { tag: OpTag, args: &'a [TermId] },
+}
+
+/// Arguments an operator node takes at most (`AtomicOld` with a compare).
+const MAX_ARGS: usize = 4;
+
+/// No further node with the same hash.
+const CHAIN_END: TermId = TermId::MAX;
 
 /// Hash-consing arena. Interning gives O(1) congruence: two terms are
 /// provably equal exactly when their ids coincide.
+///
+/// Nodes are looked up by the hash of their [`Key`], so a lookup that
+/// hits builds nothing, and a new node's parts go to the end of a pool:
+/// the walk allocates only as its pools and tables grow.
 struct Arena {
     kinds: Vec<TermKind>,
-    map: FxHashMap<TermKind, TermId>,
+    /// Affine parts of every `Affine` node, back to back.
+    parts: Vec<(u32, TermId)>,
+    /// Arguments of every `Op` node, back to back.
+    args: Vec<TermId>,
+    /// The newest node of each key hash.
+    map: FxHashMap<u64, TermId>,
+    /// For each node, the next older node with the same key hash.
+    chain: Vec<TermId>,
+    /// Reused by the affine constructors to collect raw parts.
+    scratch: Vec<(u32, TermId)>,
     next_opaque: u32,
+}
+
+/// Sorts affine parts by term id, sums the coefficients of each term
+/// with wrapping addition, and drops the terms whose sum is zero: the
+/// canonical part list of the affine polynomial `raw` denotes.
+fn canonical_parts(raw: &mut Vec<(u32, TermId)>) {
+    raw.sort_unstable_by_key(|&(_, t)| t);
+    let mut n = 0;
+    for i in 0..raw.len() {
+        let (c, t) = raw[i];
+        if n > 0 && raw[n - 1].1 == t {
+            raw[n - 1].0 = raw[n - 1].0.wrapping_add(c);
+        } else {
+            raw[n] = (c, t);
+            n += 1;
+        }
+    }
+    raw.truncate(n);
+    raw.retain(|&(c, _)| c != 0);
 }
 
 /// Integer binary evaluation mirroring `gcn-sim`'s ALU bit-for-bit
@@ -379,30 +428,79 @@ impl Arena {
     fn new() -> Self {
         Arena {
             kinds: Vec::new(),
+            parts: Vec::new(),
+            args: Vec::new(),
             map: FxHashMap::default(),
+            chain: Vec::new(),
+            scratch: Vec::new(),
             next_opaque: 0,
         }
     }
 
-    fn intern(&mut self, kind: TermKind) -> TermId {
-        if let Some(&id) = self.map.get(&kind) {
-            return id;
+    /// Node `t` with its parts or arguments borrowed from the pools.
+    fn key(&self, t: TermId) -> Key<'_> {
+        let span = |at: u32, len: u32| at as usize..(at + len) as usize;
+        match self.kinds[t as usize] {
+            TermKind::Affine { k, at, len } => Key::Affine {
+                k,
+                parts: &self.parts[span(at, len)],
+            },
+            TermKind::Atom(a) => Key::Atom(a),
+            TermKind::Op { tag, at, len } => Key::Op {
+                tag,
+                args: &self.args[span(at, len)],
+            },
+        }
+    }
+
+    fn intern(&mut self, key: Key<'_>) -> TermId {
+        let hash = {
+            let mut h = FxHasher::default();
+            key.hash(&mut h);
+            h.finish()
+        };
+        let head = self.map.get(&hash).copied().unwrap_or(CHAIN_END);
+        let mut t = head;
+        while t != CHAIN_END {
+            if self.key(t) == key {
+                return t;
+            }
+            t = self.chain[t as usize];
         }
         let id = self.kinds.len() as TermId;
-        self.kinds.push(kind.clone());
-        self.map.insert(kind, id);
+        let kind = match key {
+            Key::Affine { k, parts } => {
+                let at = self.parts.len() as u32;
+                self.parts.extend_from_slice(parts);
+                TermKind::Affine {
+                    k,
+                    at,
+                    len: parts.len() as u32,
+                }
+            }
+            Key::Atom(a) => TermKind::Atom(a),
+            Key::Op { tag, args } => {
+                let at = self.args.len() as u32;
+                self.args.extend_from_slice(args);
+                TermKind::Op {
+                    tag,
+                    at,
+                    len: args.len() as u32,
+                }
+            }
+        };
+        self.kinds.push(kind);
+        self.chain.push(head);
+        self.map.insert(hash, id);
         id
     }
 
     fn cst(&mut self, k: u32) -> TermId {
-        self.intern(TermKind::Affine {
-            k,
-            parts: Vec::new(),
-        })
+        self.intern(Key::Affine { k, parts: &[] })
     }
 
     fn atom(&mut self, a: Atom) -> TermId {
-        self.intern(TermKind::Atom(a))
+        self.intern(Key::Atom(a))
     }
 
     fn fresh_opaque(&mut self) -> TermId {
@@ -412,72 +510,84 @@ impl Arena {
     }
 
     fn as_const(&self, t: TermId) -> Option<u32> {
-        match &self.kinds[t as usize] {
-            TermKind::Affine { k, parts } if parts.is_empty() => Some(*k),
+        match self.kinds[t as usize] {
+            TermKind::Affine { k, len: 0, .. } => Some(k),
             _ => None,
         }
     }
 
-    /// Views any term as an affine polynomial: `Affine` nodes decompose,
-    /// everything else is `0 + 1·t`.
-    fn parts_of(&self, t: TermId) -> (u32, Vec<(u32, TermId)>) {
-        match &self.kinds[t as usize] {
-            TermKind::Affine { k, parts } => (*k, parts.clone()),
-            _ => (0, vec![(1, t)]),
+    /// Appends `t`, viewed as an affine polynomial, to `out` with every
+    /// coefficient mapped by `f`, and returns its constant: `Affine`
+    /// nodes decompose, everything else is `0 + 1·t`.
+    fn push_parts(&self, t: TermId, out: &mut Vec<(u32, TermId)>, f: impl Fn(u32) -> u32) -> u32 {
+        match self.key(t) {
+            Key::Affine { k, parts } => {
+                out.extend(parts.iter().map(|&(c, p)| (f(c), p)));
+                k
+            }
+            _ => {
+                out.push((f(1), t));
+                0
+            }
         }
     }
 
-    /// Canonicalizing affine constructor: merges duplicate parts with
-    /// wrapping coefficient addition, drops zero coefficients, sorts by
-    /// term id, and collapses `0 + 1·t` to `t`.
-    fn mk_affine(&mut self, k: u32, raw: Vec<(u32, TermId)>) -> TermId {
-        let mut merged: BTreeMap<TermId, u32> = BTreeMap::new();
-        for (c, t) in raw {
-            if c != 0 {
-                let e = merged.entry(t).or_insert(0);
-                *e = e.wrapping_add(c);
-            }
-        }
-        let parts: Vec<(u32, TermId)> = merged
-            .into_iter()
-            .filter(|&(_, c)| c != 0)
-            .map(|(t, c)| (c, t))
-            .collect();
-        if k == 0 && parts.len() == 1 && parts[0].0 == 1 {
-            return parts[0].1;
-        }
-        self.intern(TermKind::Affine { k, parts })
+    /// Canonicalizing affine constructor: the polynomial `k + Σ parts`
+    /// that `fill` appends to a reused buffer, given `k`'s own
+    /// contribution. Merges duplicate parts with wrapping coefficient
+    /// addition, drops zero coefficients, sorts by term id, and collapses
+    /// `0 + 1·t` to `t`.
+    fn affine(&mut self, fill: impl FnOnce(&Self, &mut Vec<(u32, TermId)>) -> u32) -> TermId {
+        let mut raw = std::mem::take(&mut self.scratch);
+        raw.clear();
+        let k = fill(self, &mut raw);
+        canonical_parts(&mut raw);
+        let t = match raw[..] {
+            [(1, t)] if k == 0 => t,
+            _ => self.intern(Key::Affine { k, parts: &raw }),
+        };
+        self.scratch = raw;
+        t
+    }
+
+    /// `k + c·t`.
+    fn mk_affine(&mut self, k: u32, c: u32, t: TermId) -> TermId {
+        self.affine(|_, raw| {
+            raw.push((c, t));
+            k
+        })
     }
 
     fn add(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.parts_of(a);
-        let (kb, pb) = self.parts_of(b);
-        pa.extend(pb);
-        self.mk_affine(ka.wrapping_add(kb), pa)
+        self.affine(|ar, raw| {
+            let ka = ar.push_parts(a, raw, |c| c);
+            ka.wrapping_add(ar.push_parts(b, raw, |c| c))
+        })
     }
 
     fn sub(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.parts_of(a);
-        let (kb, pb) = self.parts_of(b);
-        pa.extend(pb.into_iter().map(|(c, t)| (0u32.wrapping_sub(c), t)));
-        self.mk_affine(ka.wrapping_sub(kb), pa)
+        self.affine(|ar, raw| {
+            let ka = ar.push_parts(a, raw, |c| c);
+            ka.wrapping_sub(ar.push_parts(b, raw, |c| 0u32.wrapping_sub(c)))
+        })
     }
 
     fn scale(&mut self, a: TermId, c: u32) -> TermId {
         if c == 0 {
             return self.cst(0);
         }
-        let (k, parts) = self.parts_of(a);
-        let parts = parts
-            .into_iter()
-            .map(|(co, t)| (co.wrapping_mul(c), t))
-            .collect();
-        self.mk_affine(k.wrapping_mul(c), parts)
+        self.affine(|ar, raw| {
+            ar.push_parts(a, raw, |co| co.wrapping_mul(c))
+                .wrapping_mul(c)
+        })
     }
 
     /// Normalizing operator constructor; every instruction result funnels
     /// through here so both walks see identical canonical forms.
-    fn op(&mut self, tag: OpTag, mut args: Vec<TermId>) -> TermId {
+    fn op(&mut self, tag: OpTag, operands: &[TermId]) -> TermId {
+        let mut buf = [0; MAX_ARGS];
+        let args = &mut buf[..operands.len()];
+        args.copy_from_slice(operands);
         match &tag {
             OpTag::Bin(bop, ty) if ty.is_int() => {
                 let (a, b) = (args[0], args[1]);
@@ -521,14 +631,13 @@ impl Arena {
                             // (2a−1)>>1 = a−1. This is the ideal-integer
                             // reading (true value in range) the address
                             // lint already assumes.
-                            let (k, parts) = self.parts_of(a);
                             let mask = (1u32 << c) - 1;
-                            if !parts.is_empty() && parts.iter().all(|&(co, _)| co & mask == 0) {
-                                let parts = parts
-                                    .into_iter()
-                                    .map(|(co, t)| (((co as i32) >> c) as u32, t))
-                                    .collect();
-                                return self.mk_affine(((k as i32) >> c) as u32, parts);
+                            let halves = |(co, _): &(u32, TermId)| co & mask == 0;
+                            if matches!(self.key(a), Key::Affine { parts, .. }
+                                if !parts.is_empty() && parts.iter().all(halves))
+                            {
+                                let shr = |x: u32| ((x as i32) >> c) as u32;
+                                return self.affine(|ar, raw| shr(ar.push_parts(a, raw, shr)));
                             }
                         }
                     }
@@ -544,9 +653,11 @@ impl Arena {
                         // wrapping, no range assumption needed.
                         for (x, y) in [(a, b), (b, a)] {
                             if self.as_const(y) == Some(1) {
-                                let (k, parts) = self.parts_of(x);
-                                if !parts.is_empty() && parts.iter().all(|&(co, _)| co & 1 == 0) {
-                                    return self.cst(k & 1);
+                                if let Key::Affine { k, parts } = self.key(x) {
+                                    if !parts.is_empty() && parts.iter().all(|&(co, _)| co & 1 == 0)
+                                    {
+                                        return self.cst(k & 1);
+                                    }
                                 }
                             }
                         }
@@ -633,7 +744,7 @@ impl Arena {
             }
             _ => {}
         }
-        self.intern(TermKind::Op { tag, args })
+        self.intern(Key::Op { tag, args })
     }
 
     /// Renders a term for residue details; depth-capped so shared deep
@@ -646,10 +757,10 @@ impl Arena {
         if depth == 0 {
             return format!("#{t}");
         }
-        match &self.kinds[t as usize] {
-            TermKind::Affine { k, parts } => {
+        match self.key(t) {
+            Key::Affine { k, parts } => {
                 if parts.is_empty() {
-                    return render_coeff(*k);
+                    return render_coeff(k);
                 }
                 let mut s = String::new();
                 for (i, (c, p)) in parts.iter().enumerate() {
@@ -663,19 +774,19 @@ impl Arena {
                         s.push_str(&format!("{}*{r}", render_coeff(*c)));
                     }
                 }
-                if *k != 0 {
-                    s.push_str(&format!(" + {}", render_coeff(*k)));
+                if k != 0 {
+                    s.push_str(&format!(" + {}", render_coeff(k)));
                 }
                 s
             }
-            TermKind::Atom(a) => match a {
+            Key::Atom(a) => match a {
                 Atom::Builtin(b) => format!("{b:?}"),
                 Atom::Param(i) => format!("param{i}"),
                 Atom::Ticket => "T".into(),
                 Atom::Havoc { ordinal, reg } => format!("havoc{ordinal}({reg})"),
                 Atom::Opaque(n) => format!("opaque{n}"),
             },
-            TermKind::Op { tag, args } => {
+            Key::Op { tag, args } => {
                 let inner: Vec<String> = args
                     .iter()
                     .map(|&a| self.render_depth(a, depth - 1))
@@ -899,11 +1010,11 @@ impl Walker<'_> {
             BuiltinView::Identity => self.arena.atom(Atom::Builtin(b)),
             BuiltinView::PairSplit => {
                 let a = self.arena.atom(Atom::Builtin(b));
-                self.arena.mk_affine(s as u32, vec![(2, a)])
+                self.arena.mk_affine(s as u32, 2, a)
             }
             BuiltinView::Doubled => {
                 let a = self.arena.atom(Atom::Builtin(b));
-                self.arena.mk_affine(0, vec![(2, a)])
+                self.arena.mk_affine(0, 2, a)
             }
             BuiltinView::TicketDerived => self.ticket_derived(b),
         }
@@ -920,14 +1031,14 @@ impl Walker<'_> {
         let ng1 = self.arena.atom(Atom::Builtin(Builtin::NumGroups(Dim(1))));
         let group = |w: &mut Self, d: u8| -> TermId {
             match d {
-                0 => w.arena.op(OpTag::Bin(BinOp::Rem, Ty::U32), vec![t, ng0]),
+                0 => w.arena.op(OpTag::Bin(BinOp::Rem, Ty::U32), &[t, ng0]),
                 1 => {
-                    let q = w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), vec![t, ng0]);
-                    w.arena.op(OpTag::Bin(BinOp::Rem, Ty::U32), vec![q, ng1])
+                    let q = w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), &[t, ng0]);
+                    w.arena.op(OpTag::Bin(BinOp::Rem, Ty::U32), &[q, ng1])
                 }
                 _ => {
-                    let q = w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), vec![t, ng0]);
-                    w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), vec![q, ng1])
+                    let q = w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), &[t, ng0]);
+                    w.arena.op(OpTag::Bin(BinOp::Div, Ty::U32), &[q, ng1])
                 }
             }
         };
@@ -937,7 +1048,7 @@ impl Walker<'_> {
                 let g = group(self, d);
                 let ls = self.arena.atom(Atom::Builtin(Builtin::LocalSize(Dim(d))));
                 let lid = self.arena.atom(Atom::Builtin(Builtin::LocalId(Dim(d))));
-                let scaled = self.arena.op(OpTag::Bin(BinOp::Mul, Ty::U32), vec![g, ls]);
+                let scaled = self.arena.op(OpTag::Bin(BinOp::Mul, Ty::U32), &[g, ls]);
                 self.arena.add(scaled, lid)
             }
             _ => self.arena.atom(Atom::Builtin(b)),
@@ -1003,7 +1114,7 @@ impl Walker<'_> {
             Inst::Unary { dst, op, a } => {
                 for s in 0..self.sides {
                     let ta = self.read(s, *a);
-                    let t = self.arena.op(OpTag::Un(*op), vec![ta]);
+                    let t = self.arena.op(OpTag::Un(*op), &[ta]);
                     self.write(s, act, *dst, t);
                 }
             }
@@ -1011,7 +1122,7 @@ impl Walker<'_> {
                 for s in 0..self.sides {
                     let ta = self.read(s, *a);
                     let tb = self.read(s, *b);
-                    let t = self.arena.op(OpTag::Bin(*op, *ty), vec![ta, tb]);
+                    let t = self.arena.op(OpTag::Bin(*op, *ty), &[ta, tb]);
                     self.write(s, act, *dst, t);
                 }
             }
@@ -1019,7 +1130,7 @@ impl Walker<'_> {
                 for s in 0..self.sides {
                     let ta = self.read(s, *a);
                     let tb = self.read(s, *b);
-                    let t = self.arena.op(OpTag::Cmp(*op, *ty), vec![ta, tb]);
+                    let t = self.arena.op(OpTag::Cmp(*op, *ty), &[ta, tb]);
                     self.write(s, act, *dst, t);
                 }
                 if let Some(cfg) = self.mach {
@@ -1048,7 +1159,7 @@ impl Walker<'_> {
                     let c = self.read(s, *cond);
                     let t = self.read(s, *if_true);
                     let f = self.read(s, *if_false);
-                    let r = self.arena.op(OpTag::Ite, vec![c, t, f]);
+                    let r = self.arena.op(OpTag::Ite, &[c, t, f]);
                     self.write(s, act, *dst, r);
                 }
             }
@@ -1100,7 +1211,7 @@ impl Walker<'_> {
         }
         for s in 0..self.sides {
             let t = self.read(s, src);
-            let r = self.arena.op(OpTag::Swizzle(mode), vec![t]);
+            let r = self.arena.op(OpTag::Swizzle(mode), &[t]);
             self.write(s, act, dst, r);
         }
     }
@@ -1146,7 +1257,7 @@ impl Walker<'_> {
             if on {
                 let raw = self.read(s, addr);
                 let a = self.local_addr(s, space, raw);
-                let t = self.arena.op(OpTag::Load(space), vec![a, clock_t]);
+                let t = self.arena.op(OpTag::Load(space), &[a, clock_t]);
                 self.env[s].insert(dst, t);
             }
         }
@@ -1213,7 +1324,7 @@ impl Walker<'_> {
                     if on {
                         if let Some(d) = dst {
                             let t = self.arena.atom(Atom::Ticket);
-                            let v = self.arena.mk_affine(s as u32, vec![(2, t)]);
+                            let v = self.arena.mk_affine(s as u32, 2, t);
                             self.env[s].insert(d, v);
                         }
                     }
@@ -1250,11 +1361,9 @@ impl Walker<'_> {
                 let a = self.local_addr(s, space, raw);
                 let v = self.read(s, value);
                 let c = cmp_reg.map(|r| self.read(s, r));
-                let mut args = vec![a, v, clock_t];
-                if let Some(ct) = c {
-                    args.push(ct);
-                }
-                let old = self.arena.op(OpTag::AtomicOld(space, disc), args);
+                let args = [a, v, clock_t, c.unwrap_or(0)];
+                let n = if c.is_some() { 4 } else { 3 };
+                let old = self.arena.op(OpTag::AtomicOld(space, disc), &args[..n]);
                 if let Some(d) = dst {
                     self.env[s].insert(d, old);
                 }
@@ -1354,7 +1463,7 @@ impl Walker<'_> {
                     let m = if tv == ev {
                         tv
                     } else {
-                        self.arena.op(OpTag::Ite, vec![g[s], tv, ev])
+                        self.arena.op(OpTag::Ite, &[g[s], tv, ev])
                     };
                     self.env[s].insert(r, m);
                 }
@@ -1665,20 +1774,20 @@ mod tests {
         let a = lid_atom(&mut ar);
         let one = ar.cst(1);
         let two = ar.cst(2);
-        let doubled = ar.op(OpTag::Bin(BinOp::Mul, Ty::U32), vec![a, two]);
-        let odd = ar.op(OpTag::Bin(BinOp::Add, Ty::U32), vec![doubled, one]);
+        let doubled = ar.op(OpTag::Bin(BinOp::Mul, Ty::U32), &[a, two]);
+        let odd = ar.op(OpTag::Bin(BinOp::Add, Ty::U32), &[doubled, one]);
         // (2a+1) >> 1 = a and (2a) >> 1 = a: the pair-split recovery.
-        let h1 = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), vec![odd, one]);
-        let h0 = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), vec![doubled, one]);
+        let h1 = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), &[odd, one]);
+        let h0 = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), &[doubled, one]);
         assert_eq!(h1, a);
         assert_eq!(h0, a);
         // (2a+1) & 1 = 1 and (2a) & 1 = 0: the role-flag split.
-        let p1 = ar.op(OpTag::Bin(BinOp::And, Ty::U32), vec![odd, one]);
-        let p0 = ar.op(OpTag::Bin(BinOp::And, Ty::U32), vec![doubled, one]);
+        let p1 = ar.op(OpTag::Bin(BinOp::And, Ty::U32), &[odd, one]);
+        let p0 = ar.op(OpTag::Bin(BinOp::And, Ty::U32), &[doubled, one]);
         assert_eq!(ar.as_const(p1), Some(1));
         assert_eq!(ar.as_const(p0), Some(0));
         // Shl by a constant scales.
-        let shl = ar.op(OpTag::Bin(BinOp::Shl, Ty::U32), vec![a, one]);
+        let shl = ar.op(OpTag::Bin(BinOp::Shl, Ty::U32), &[a, one]);
         assert_eq!(shl, doubled);
     }
 
@@ -1687,21 +1796,21 @@ mod tests {
         let mut ar = Arena::new();
         let a = lid_atom(&mut ar);
         let one = ar.cst(1);
-        let odd = ar.mk_affine(1, vec![(2, a)]);
-        let even = ar.mk_affine(0, vec![(2, a)]);
-        let eq = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::U32), vec![odd, even]);
+        let odd = ar.mk_affine(1, 2, a);
+        let even = ar.mk_affine(0, 2, a);
+        let eq = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::U32), &[odd, even]);
         assert_eq!(ar.as_const(eq), Some(0));
-        let ne = ar.op(OpTag::Cmp(CmpOp::Ne, Ty::U32), vec![odd, even]);
+        let ne = ar.op(OpTag::Cmp(CmpOp::Ne, Ty::U32), &[odd, even]);
         assert_eq!(ar.as_const(ne), Some(1));
-        let refl = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::U32), vec![odd, odd]);
+        let refl = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::U32), &[odd, odd]);
         assert_eq!(ar.as_const(refl), Some(1));
         // Same id under Xor/Rem cancels; under Min/Max it collapses.
-        let x = ar.op(OpTag::Bin(BinOp::Xor, Ty::U32), vec![odd, odd]);
+        let x = ar.op(OpTag::Bin(BinOp::Xor, Ty::U32), &[odd, odd]);
         assert_eq!(ar.as_const(x), Some(0));
-        let r = ar.op(OpTag::Bin(BinOp::Rem, Ty::U32), vec![odd, odd]);
+        let r = ar.op(OpTag::Bin(BinOp::Rem, Ty::U32), &[odd, odd]);
         assert_eq!(ar.as_const(r), Some(0));
-        let m = ar.op(OpTag::Bin(BinOp::Min, Ty::I32), vec![odd, one]);
-        let m2 = ar.op(OpTag::Bin(BinOp::Min, Ty::I32), vec![one, odd]);
+        let m = ar.op(OpTag::Bin(BinOp::Min, Ty::I32), &[odd, one]);
+        let m2 = ar.op(OpTag::Bin(BinOp::Min, Ty::I32), &[one, odd]);
         assert_eq!(m, m2, "commutative int ops sort their operands");
     }
 
@@ -1711,9 +1820,9 @@ mod tests {
         let mut ar = Arena::new();
         let a = lid_atom(&mut ar);
         let one = ar.cst(1);
-        let t = ar.mk_affine(u32::MAX, vec![(2, a)]);
-        let sh = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), vec![t, one]);
-        let expect = ar.mk_affine(u32::MAX, vec![(1, a)]);
+        let t = ar.mk_affine(u32::MAX, 2, a);
+        let sh = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), &[t, one]);
+        let expect = ar.mk_affine(u32::MAX, 1, a);
         assert_eq!(sh, expect);
     }
 
@@ -1722,20 +1831,20 @@ mod tests {
         let mut ar = Arena::new();
         let a = lid_atom(&mut ar);
         let one = ar.cst(1);
-        let odd = ar.mk_affine(1, vec![(2, a)]);
+        let odd = ar.mk_affine(1, 2, a);
         // Odd coefficient: >> must not fold.
-        let triple = ar.mk_affine(0, vec![(3, a)]);
-        let sh = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), vec![triple, one]);
+        let triple = ar.mk_affine(0, 3, a);
+        let sh = ar.op(OpTag::Bin(BinOp::Shr, Ty::U32), &[triple, one]);
         assert!(matches!(ar.kinds[sh as usize], TermKind::Op { .. }));
         // Arithmetic i32 shift: no affine fold either.
-        let shi = ar.op(OpTag::Bin(BinOp::Shr, Ty::I32), vec![odd, one]);
+        let shi = ar.op(OpTag::Bin(BinOp::Shr, Ty::I32), &[odd, one]);
         assert!(matches!(ar.kinds[shi as usize], TermKind::Op { .. }));
         // Float equality never folds, even reflexively (NaN != NaN).
-        let f = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::F32), vec![a, a]);
+        let f = ar.op(OpTag::Cmp(CmpOp::Eq, Ty::F32), &[a, a]);
         assert_eq!(ar.as_const(f), None);
         // Float binaries keep operand order (NaN payload asymmetry).
-        let f1 = ar.op(OpTag::Bin(BinOp::Add, Ty::F32), vec![a, one]);
-        let f2 = ar.op(OpTag::Bin(BinOp::Add, Ty::F32), vec![one, a]);
+        let f1 = ar.op(OpTag::Bin(BinOp::Add, Ty::F32), &[a, one]);
+        let f2 = ar.op(OpTag::Bin(BinOp::Add, Ty::F32), &[one, a]);
         assert_ne!(f1, f2);
     }
 

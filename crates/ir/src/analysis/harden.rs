@@ -80,8 +80,8 @@ pub struct PlanWindow {
     pub reg: Reg,
     /// Liveness weight of the window.
     pub weight: u64,
-    /// Exit ordinals the value can reach.
-    pub exits: BTreeSet<usize>,
+    /// Exit ordinals the value can reach, ascending.
+    pub exits: Vec<usize>,
 }
 
 /// One candidate slice: the windows sharing a reachable-exit set, the
@@ -92,11 +92,11 @@ pub struct Slice {
     pub regs: Vec<Reg>,
     /// Benefit: summed liveness weight of the converted windows.
     pub weight: u64,
-    /// Exit ordinals that must be protected.
-    pub exits: BTreeSet<usize>,
-    /// Linear indices of the backward slice (cost basis: the instructions
-    /// whose duplication feeds the protected exits).
-    pub insts: BTreeSet<usize>,
+    /// Exit ordinals that must be protected, ascending.
+    pub exits: Vec<usize>,
+    /// Linear indices of the backward slice, ascending (cost basis: the
+    /// instructions whose duplication feeds the protected exits).
+    pub insts: Vec<usize>,
     /// Standalone duplicated dynamic-instruction estimate.
     pub cost: u64,
     /// Cost beyond the candidates ordered before this one.
@@ -134,13 +134,18 @@ impl HardenPlan {
         self.selected_exits.is_empty()
     }
 
+    /// `true` if the plan protects every exit of `exits`.
+    fn protects_all(&self, exits: &[usize]) -> bool {
+        exits.iter().all(|e| self.selected_exits.contains(e))
+    }
+
     /// Number of convertible windows whose every reachable exit is
     /// protected — the windows the transform's coverage will reclassify
     /// as Detected.
     pub fn predicted_detected(&self) -> usize {
         self.windows
             .iter()
-            .filter(|w| w.exits.is_subset(&self.selected_exits))
+            .filter(|w| self.protects_all(&w.exits))
             .count()
     }
 
@@ -149,7 +154,7 @@ impl HardenPlan {
         let converted: u64 = self
             .windows
             .iter()
-            .filter(|w| w.exits.is_subset(&self.selected_exits))
+            .filter(|w| self.protects_all(&w.exits))
             .map(|w| w.weight)
             .sum();
         self.baseline_vulnerable_weight.saturating_sub(converted)
@@ -308,20 +313,78 @@ fn may_overlap(a: &Poly, b: &Poly, atoms: &Atoms) -> bool {
     lo <= SLACK && hi >= -SLACK
 }
 
+/// A dense set of small indices (node positions or exit ordinals): one
+/// bit per index, so a slice or a reachable-exit set is one allocation.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// An empty set with room for indices `0..n`.
+    fn with_capacity(n: usize) -> Self {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    /// Adds `i`; returns `true` if it was not already present.
+    fn insert(&mut self, i: usize) -> bool {
+        if i / 64 >= self.0.len() {
+            self.0.resize(i / 64 + 1, 0);
+        }
+        let (w, bit) = (&mut self.0[i / 64], 1 << (i % 64));
+        let new = *w & bit == 0;
+        *w |= bit;
+        new
+    }
+
+    /// Adds every index of `o`; returns `true` if one was new.
+    fn union_with(&mut self, o: &Bits) -> bool {
+        if o.0.len() > self.0.len() {
+            self.0.resize(o.0.len(), 0);
+        }
+        let mut changed = false;
+        for (w, &x) in self.0.iter_mut().zip(&o.0) {
+            changed |= x & !*w != 0;
+            *w |= x;
+        }
+        changed
+    }
+
+    /// Removes every index of `o`.
+    fn subtract(&mut self, o: &Bits) {
+        for (w, &x) in self.0.iter_mut().zip(&o.0) {
+            *w &= !x;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// The indices, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let b = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    i * 64 + b
+                })
+            })
+        })
+    }
+}
+
 /// Reachable-sink facts for one register (the blessed-spec mirror of the
 /// coverage engine's backward pass, extended with LDS flow links).
 #[derive(Debug, Clone, Default)]
 struct Obs {
-    exits: BTreeSet<usize>,
+    exits: Bits,
     control: bool,
 }
 
 fn absorb(obs: &mut RegMap<Obs>, dst: Reg, from: &Obs) -> bool {
     let e = obs.get_or_default(dst);
-    let mut changed = false;
-    for &x in &from.exits {
-        changed |= e.exits.insert(x);
-    }
+    let mut changed = e.exits.union_with(&from.exits);
     if from.control && !e.control {
         e.control = true;
         changed = true;
@@ -471,7 +534,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         windows.push(PlanWindow {
             reg: w.reg,
             weight: w.weight,
-            exits: o.exits.clone(),
+            exits: o.exits.iter().collect(),
         });
     }
 
@@ -479,28 +542,49 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     // the exit's operands, LDS stores that may feed its loads, and the
     // defs of divergent enclosing conditions (a divergent branch must be
     // re-evaluated consistently by both replicas).
-    let mut defs: RegMap<Vec<usize>> = RegMap::for_kernel(kernel);
-    for (i, n) in nodes.iter().enumerate() {
-        if let Some(d) = n.inst.dst() {
-            defs.get_or_default(d).push(i);
-        }
+    // The node positions defining each register, grouped by register:
+    // register `r`'s are `def_pos[def_at[r]..def_at[r + 1]]`.
+    let dsts = || {
+        nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| Some((i, n.inst.dst()?)))
+    };
+    let nregs = dsts().map(|(_, d)| d.0 as usize + 1).max().unwrap_or(0);
+    let mut def_at = vec![0usize; nregs + 1];
+    for (_, d) in dsts() {
+        def_at[d.0 as usize + 1] += 1;
     }
+    for r in 0..nregs {
+        def_at[r + 1] += def_at[r];
+    }
+    let mut def_pos = vec![0usize; def_at[nregs]];
+    let mut fill = def_at.clone();
+    for (i, d) in dsts() {
+        def_pos[fill[d.0 as usize]] = i;
+        fill[d.0 as usize] += 1;
+    }
+    let defs_of = |r: Reg| match def_at.get(r.0 as usize..=r.0 as usize + 1) {
+        Some(&[a, b]) => &def_pos[a..b],
+        _ => &[],
+    };
     let divergent = |r: &Reg| !uniform.contains(*r);
-    let slice_for_exit = |site: &ExitSite| -> BTreeSet<usize> {
-        let mut insts: BTreeSet<usize> = BTreeSet::new();
-        let mut work: Vec<Reg> = Vec::new();
-        let visit = |n: &Node, insts: &mut BTreeSet<usize>, work: &mut Vec<Reg>| {
+    let mut work: Vec<Reg> = Vec::new();
+    let mut seen = RegSet::for_kernel(kernel);
+    let mut slice_for_exit = |site: &ExitSite| -> Bits {
+        let mut insts = Bits::with_capacity(nodes.len());
+        let visit = |n: &Node, insts: &mut Bits, work: &mut Vec<Reg>| {
             insts.insert(n.idx);
             work.extend_from_slice(lin.srcs(n));
             work.extend(lin.conds(n).filter(divergent));
         };
         visit(lin.node(site.idx), &mut insts, &mut work);
-        let mut seen = RegSet::for_kernel(kernel);
+        seen.clear();
         while let Some(r) = work.pop() {
             if !seen.insert(r) {
                 continue;
             }
-            for &dp in defs.get(r).map(Vec::as_slice).unwrap_or(&[]) {
+            for &dp in defs_of(r) {
                 let dn = &nodes[dp];
                 visit(dn, &mut insts, &mut work);
                 if matches!(
@@ -519,69 +603,63 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         insts
     };
     let exits = &lin.exits;
-    let exit_slices: Vec<BTreeSet<usize>> = exits.iter().map(slice_for_exit).collect();
-    let inst_cost = |insts: &BTreeSet<usize>| -> u64 {
-        insts.iter().map(|&i| freq(lin.node(i).depth)).sum::<u64>()
-    };
-    let exit_cost = |ords: &BTreeSet<usize>| -> u64 {
+    let exit_slices: Vec<Bits> = exits.iter().map(&mut slice_for_exit).collect();
+    let inst_cost = |insts: &Bits| -> u64 { insts.iter().map(|i| freq(lin.node(i).depth)).sum() };
+    let exit_cost = |ords: &Bits| -> u64 {
         ords.iter()
-            .map(|&e| COMPARE_COST * freq(exits[e].loop_depth))
-            .sum::<u64>()
+            .map(|e| COMPARE_COST * freq(exits[e].loop_depth))
+            .sum()
     };
 
     // Group windows by their reachable-exit set; append zero-benefit
     // residual candidates for exits no window requires, so a 100% budget
-    // always plans every exit (full-flavor parity).
-    let mut groups: BTreeMap<Vec<usize>, (Vec<Reg>, u64)> = BTreeMap::new();
+    // always plans every exit (full-flavor parity). Each candidate keeps
+    // its exits and instructions as dense sets until the costs are in.
+    let mut groups: BTreeMap<&[usize], (Vec<Reg>, u64)> = BTreeMap::new();
     for w in &windows {
-        let key: Vec<usize> = w.exits.iter().copied().collect();
-        let e = groups.entry(key).or_default();
+        let e = groups.entry(&w.exits).or_default();
         e.0.push(w.reg);
         e.1 += w.weight;
     }
-    let mut covered_exits: BTreeSet<usize> = BTreeSet::new();
-    let mut cands: Vec<Slice> = Vec::new();
-    for (key, (mut regs, weight)) in groups {
-        regs.sort_unstable();
-        let exits_set: BTreeSet<usize> = key.into_iter().collect();
-        covered_exits.extend(exits_set.iter().copied());
-        let mut insts = BTreeSet::new();
-        for &e in &exits_set {
-            insts.extend(exit_slices[e].iter().copied());
+    let mut covered_exits = Bits::with_capacity(exits.len());
+    let mut cands: Vec<(Slice, Bits, Bits)> = Vec::new();
+    let mut candidate = |regs: Vec<Reg>, weight: u64, exit_set: Bits| {
+        let mut insts = Bits::with_capacity(nodes.len());
+        for e in exit_set.iter() {
+            insts.union_with(&exit_slices[e]);
         }
-        let cost = inst_cost(&insts) + exit_cost(&exits_set);
-        cands.push(Slice {
+        let slice = Slice {
             regs,
             weight,
-            exits: exits_set,
-            insts,
-            cost,
+            exits: exit_set.iter().collect(),
+            insts: insts.iter().collect(),
+            cost: inst_cost(&insts) + exit_cost(&exit_set),
             marginal_cost: 0,
             selected: false,
-        });
+        };
+        cands.push((slice, insts, exit_set));
+    };
+    for (key, (mut regs, weight)) in groups {
+        regs.sort_unstable();
+        let mut exit_set = Bits::with_capacity(exits.len());
+        for &e in key {
+            exit_set.insert(e);
+        }
+        covered_exits.union_with(&exit_set);
+        candidate(regs, weight, exit_set);
     }
     for site in exits {
-        if covered_exits.contains(&site.ordinal) {
-            continue;
+        if covered_exits.insert(site.ordinal) {
+            let mut exit_set = Bits::with_capacity(exits.len());
+            exit_set.insert(site.ordinal);
+            candidate(Vec::new(), 0, exit_set);
         }
-        let exits_set: BTreeSet<usize> = [site.ordinal].into_iter().collect();
-        let insts = exit_slices[site.ordinal].clone();
-        let cost = inst_cost(&insts) + exit_cost(&exits_set);
-        cands.push(Slice {
-            regs: Vec::new(),
-            weight: 0,
-            exits: exits_set,
-            insts,
-            cost,
-            marginal_cost: 0,
-            selected: false,
-        });
     }
 
     // Greedy order: benefit/cost ratio descending (integer cross-products,
     // no float ties), then cheaper first, then smaller exit set — total and
     // deterministic because exit sets are pairwise distinct.
-    cands.sort_by(|a, b| {
+    cands.sort_by(|(a, ..), (b, ..)| {
         let ra = a.weight as u128 * b.cost.max(1) as u128;
         let rb = b.weight as u128 * a.cost.max(1) as u128;
         rb.cmp(&ra)
@@ -591,17 +669,18 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
 
     // Marginal-cost accounting along the fixed order, then select the
     // longest prefix fitting the budget.
-    let mut acc_insts: BTreeSet<usize> = BTreeSet::new();
-    let mut acc_exits: BTreeSet<usize> = BTreeSet::new();
+    let mut acc_insts = Bits::with_capacity(nodes.len());
+    let mut acc_exits = Bits::with_capacity(exits.len());
     let mut total_cost = 0u64;
-    for c in &mut cands {
-        let new_insts: BTreeSet<usize> = c.insts.difference(&acc_insts).copied().collect();
-        let new_exits: BTreeSet<usize> = c.exits.difference(&acc_exits).copied().collect();
-        c.marginal_cost = inst_cost(&new_insts) + exit_cost(&new_exits);
-        acc_insts.extend(new_insts);
-        acc_exits.extend(new_exits);
+    for (c, insts, exit_set) in &mut cands {
+        insts.subtract(&acc_insts);
+        exit_set.subtract(&acc_exits);
+        c.marginal_cost = inst_cost(insts) + exit_cost(exit_set);
+        acc_insts.union_with(insts);
+        acc_exits.union_with(exit_set);
         total_cost += c.marginal_cost;
     }
+    let mut cands: Vec<Slice> = cands.into_iter().map(|(c, ..)| c).collect();
     let mut selected_cost = 0u64;
     let mut selected_exits: BTreeSet<usize> = BTreeSet::new();
     for c in &mut cands {

@@ -23,7 +23,9 @@
 
 use crate::fxhash::FxHashMap;
 use crate::inst::{Builtin, Dim};
+use std::cell::Cell;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Interned atom identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,14 +47,14 @@ pub enum AtomKind {
     /// `floor(arg / 2^shift)` of an interned argument polynomial.
     Quot {
         /// Interned canonical form of the argument.
-        arg: Box<Poly>,
+        arg: Poly,
         /// The power-of-two shift.
         shift: u8,
     },
     /// `arg mod 2^shift`.
     Rem {
         /// Interned canonical form of the argument.
-        arg: Box<Poly>,
+        arg: Poly,
         /// The power-of-two shift.
         shift: u8,
     },
@@ -261,12 +263,118 @@ impl std::fmt::Debug for Monomial {
     }
 }
 
+/// One non-constant term of a [`Poly`]: a monomial and its coefficient.
+type Term = (Monomial, i64);
+
+/// Terms a [`Poly`] holds in place. A longer term list is shared behind
+/// an [`Arc`], so cloning a polynomial never allocates: the walks clone
+/// one at every register read and at every branch.
+pub const INLINE_TERMS: usize = 2;
+
+/// Filler for unused inline slots.
+const PAD: Term = (Monomial::ONE, 0);
+
+thread_local! {
+    /// Scratch the term-list builders merge into, reused across calls.
+    static SCRATCH: Cell<Vec<Term>> = const { Cell::new(Vec::new()) };
+}
+
+/// A sorted term list, in place up to [`INLINE_TERMS`] terms and shared
+/// beyond. It compares, hashes and prints as its slice, whatever the
+/// storage.
+#[derive(Clone)]
+enum Terms {
+    Inline { len: u8, buf: [Term; INLINE_TERMS] },
+    Shared(Arc<[Term]>),
+}
+
+impl Terms {
+    const EMPTY: Terms = Terms::Inline {
+        len: 0,
+        buf: [PAD; INLINE_TERMS],
+    };
+
+    fn from_slice(s: &[Term]) -> Terms {
+        if s.len() <= INLINE_TERMS {
+            let mut buf = [PAD; INLINE_TERMS];
+            buf[..s.len()].copy_from_slice(s);
+            Terms::Inline {
+                len: s.len() as u8,
+                buf,
+            }
+        } else {
+            Terms::Shared(Arc::from(s))
+        }
+    }
+
+    /// The terms `fill` leaves in a reused scratch vector.
+    fn build(fill: impl FnOnce(&mut Vec<Term>)) -> Terms {
+        SCRATCH.with(|cell| {
+            let mut v = cell.take();
+            v.clear();
+            fill(&mut v);
+            let t = Terms::from_slice(&v);
+            cell.set(v);
+            t
+        })
+    }
+
+    /// The terms, writable in place (a shared list is copied first).
+    fn make_mut(&mut self) -> &mut [Term] {
+        match self {
+            Terms::Inline { len, buf } => &mut buf[..*len as usize],
+            Terms::Shared(a) => {
+                if Arc::get_mut(a).is_none() {
+                    *a = Arc::from(&a[..]);
+                }
+                Arc::get_mut(a).expect("a fresh copy is unique")
+            }
+        }
+    }
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::EMPTY
+    }
+}
+
+impl std::ops::Deref for Terms {
+    type Target = [Term];
+    fn deref(&self) -> &[Term] {
+        match self {
+            Terms::Inline { len, buf } => &buf[..*len as usize],
+            Terms::Shared(a) => a,
+        }
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, o: &Self) -> bool {
+        **self == **o
+    }
+}
+
+impl Eq for Terms {}
+
+impl std::hash::Hash for Terms {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        (**self).hash(h)
+    }
+}
+
+impl std::fmt::Debug for Terms {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A multivariate polynomial over atoms with integer coefficients.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Poly {
     /// (monomial, coefficient) pairs in increasing monomial order, no
     /// monomial twice and no zero coefficient.
-    terms: Vec<(Monomial, i64)>,
+    terms: Terms,
     /// Constant term.
     pub k: i64,
 }
@@ -275,7 +383,7 @@ impl Poly {
     /// The constant polynomial.
     pub fn constant(k: i64) -> Self {
         Poly {
-            terms: Vec::new(),
+            terms: Terms::EMPTY,
             k,
         }
     }
@@ -283,7 +391,7 @@ impl Poly {
     /// A single atom.
     pub fn atom(a: AtomId) -> Self {
         Poly {
-            terms: vec![(Monomial::of(a), 1)],
+            terms: Terms::from_slice(&[(Monomial::of(a), 1)]),
             k: 0,
         }
     }
@@ -291,6 +399,12 @@ impl Poly {
     /// The non-constant terms, in increasing monomial order.
     pub fn terms(&self) -> &[(Monomial, i64)] {
         &self.terms
+    }
+
+    /// `true` if the terms are held in place rather than shared: exactly
+    /// when there are at most [`INLINE_TERMS`] of them.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.terms, Terms::Inline { .. })
     }
 
     /// Every atom of every term, in term order (an atom repeats as often
@@ -303,13 +417,14 @@ impl Poly {
     pub fn add_term(&mut self, m: Monomial, c: i64) {
         match self.terms.binary_search_by(|(t, _)| t.cmp(&m)) {
             Ok(i) => {
-                let e = &mut self.terms[i].1;
-                *e = e.saturating_add(c);
-                if *e == 0 {
-                    self.terms.remove(i);
+                let e = self.terms[i].1.saturating_add(c);
+                if e == 0 {
+                    self.splice(i, None);
+                } else {
+                    self.terms.make_mut()[i].1 = e;
                 }
             }
-            Err(i) if c != 0 => self.terms.insert(i, (m, c)),
+            Err(i) if c != 0 => self.splice(i, Some((m, c))),
             Err(_) => {}
         }
     }
@@ -317,7 +432,24 @@ impl Poly {
     /// Removes the term of `m`, returning its coefficient.
     pub fn remove_term(&mut self, m: &Monomial) -> Option<i64> {
         let i = self.terms.binary_search_by(|(t, _)| t.cmp(m)).ok()?;
-        Some(self.terms.remove(i).1)
+        let c = self.terms[i].1;
+        self.splice(i, None);
+        Some(c)
+    }
+
+    /// Inserts `t` at `i`, or removes the term at `i` when `t` is `None`.
+    fn splice(&mut self, i: usize, t: Option<Term>) {
+        let old = &self.terms;
+        self.terms = Terms::build(|v| {
+            v.extend_from_slice(&old[..i]);
+            match t {
+                Some(t) => {
+                    v.push(t);
+                    v.extend_from_slice(&old[i..]);
+                }
+                None => v.extend_from_slice(&old[i + 1..]),
+            }
+        });
     }
 
     /// `Some(k)` if the polynomial is a constant.
@@ -336,11 +468,6 @@ impl Poly {
             [(m, 1)] if self.k == 0 && m.len() == 1 => Some(m[0]),
             _ => None,
         }
-    }
-
-    /// True if too large to keep exact.
-    fn oversized(&self) -> bool {
-        self.terms.len() > MAX_TERMS || self.terms.iter().any(|(m, _)| m.len() > MAX_DEGREE)
     }
 
     /// The monomials of either polynomial in increasing order, each with
@@ -378,11 +505,13 @@ impl Poly {
 
     /// `f(self's coefficient, o's)` term by term, zeros dropped.
     fn merge(&self, o: &Poly, k: i64, f: impl Fn(i64, i64) -> i64) -> Poly {
-        let terms = self
-            .union_terms(o)
-            .map(|(m, a, b)| (m, f(a, b)))
-            .filter(|&(_, c)| c != 0)
-            .collect();
+        let terms = Terms::build(|v| {
+            v.extend(
+                self.union_terms(o)
+                    .map(|(m, a, b)| (m, f(a, b)))
+                    .filter(|&(_, c)| c != 0),
+            )
+        });
         Poly { terms, k }
     }
 
@@ -395,7 +524,7 @@ impl Poly {
     pub fn neg(&self) -> Poly {
         let mut r = self.clone();
         r.k = r.k.wrapping_neg();
-        for (_, c) in &mut r.terms {
+        for (_, c) in r.terms.make_mut() {
             *c = c.wrapping_neg();
         }
         r
@@ -415,7 +544,7 @@ impl Poly {
         }
         let mut r = self.clone();
         r.k = r.k.saturating_mul(s);
-        for (_, c) in &mut r.terms {
+        for (_, c) in r.terms.make_mut() {
             *c = c.saturating_mul(s);
         }
         r
@@ -424,35 +553,53 @@ impl Poly {
     /// Multiplies two polynomials; `None` if the result exceeds the degree
     /// or size caps (caller falls back to an opaque atom).
     pub fn mul(&self, o: &Poly) -> Option<Poly> {
-        // Every partial product, in the order a term-at-a-time
-        // accumulation meets them. The stable sort keeps that order within
-        // each monomial, so the saturating sums below come out the same.
-        let mut parts = Vec::new();
-        if o.k != 0 {
-            parts.extend(self.terms.iter().map(|&(m, c)| (m, c.saturating_mul(o.k))));
-        }
-        if self.k != 0 {
-            parts.extend(o.terms.iter().map(|&(m, c)| (m, c.saturating_mul(self.k))));
-        }
-        for (ma, ca) in &self.terms {
-            for (mb, cb) in &o.terms {
-                parts.push((ma.product(mb)?, ca.saturating_mul(*cb)));
+        let mut fits = true;
+        let terms = Terms::build(|parts| {
+            // Every partial product, in the order a term-at-a-time
+            // accumulation meets them. The stable sort keeps that order
+            // within each monomial, so the saturating sums below come out
+            // the same.
+            if o.k != 0 {
+                parts.extend(self.terms.iter().map(|&(m, c)| (m, c.saturating_mul(o.k))));
             }
-        }
-        parts.sort_by_key(|&(m, _)| m);
-        let mut r = Poly::constant(self.k.saturating_mul(o.k));
-        for (m, c) in parts {
-            match r.terms.last_mut() {
-                Some((last, e)) if *last == m => *e = e.saturating_add(c),
-                _ => r.terms.push((m, c)),
+            if self.k != 0 {
+                parts.extend(o.terms.iter().map(|&(m, c)| (m, c.saturating_mul(self.k))));
             }
-        }
-        r.terms.retain(|&(_, c)| c != 0);
-        if r.oversized() {
-            None
-        } else {
-            Some(r)
-        }
+            for (ma, ca) in self.terms.iter() {
+                for (mb, cb) in o.terms.iter() {
+                    match ma.product(mb) {
+                        Some(m) => parts.push((m, ca.saturating_mul(*cb))),
+                        None => {
+                            fits = false;
+                            parts.clear();
+                            return;
+                        }
+                    }
+                }
+            }
+            parts.sort_by_key(|&(m, _)| m);
+            // Sum each run of equal monomials into its first slot.
+            let mut n = 0;
+            for i in 0..parts.len() {
+                let (m, c) = parts[i];
+                if n > 0 && parts[n - 1].0 == m {
+                    parts[n - 1].1 = parts[n - 1].1.saturating_add(c);
+                } else {
+                    parts[n] = (m, c);
+                    n += 1;
+                }
+            }
+            parts.truncate(n);
+            parts.retain(|&(_, c)| c != 0);
+            fits = parts.len() <= MAX_TERMS && parts.iter().all(|(m, _)| m.len() <= MAX_DEGREE);
+            if !fits {
+                parts.clear();
+            }
+        });
+        fits.then(|| Poly {
+            terms,
+            k: self.k.saturating_mul(o.k),
+        })
     }
 
     /// True if any monomial contains a lane atom.
@@ -462,16 +609,18 @@ impl Poly {
 
     /// Splits into (lane-dependent part, uniform part incl. constant).
     pub fn split_lane(&self, atoms: &Atoms) -> (Poly, Poly) {
-        let mut lane = Poly::constant(0);
-        let mut unif = Poly::constant(self.k);
-        for (m, c) in &self.terms {
-            let target = if m.iter().any(|&a| atoms.info(a).lane) {
-                &mut lane
-            } else {
-                &mut unif
-            };
-            target.terms.push((*m, *c));
-        }
+        let is_lane = |m: &Monomial| m.iter().any(|&a| atoms.info(a).lane);
+        let part = |lane: bool| {
+            Terms::build(|v| v.extend(self.terms.iter().filter(|(m, _)| is_lane(m) == lane)))
+        };
+        let lane = Poly {
+            terms: part(true),
+            k: 0,
+        };
+        let unif = Poly {
+            terms: part(false),
+            k: self.k,
+        };
         (lane, unif)
     }
 
@@ -480,7 +629,7 @@ impl Poly {
     pub fn eval_range(&self, atoms: &Atoms) -> (i128, i128) {
         let mut lo = self.k as i128;
         let mut hi = self.k as i128;
-        for &(m, c) in &self.terms {
+        for &(m, c) in self.terms.iter() {
             // Interval product over the monomial's atoms.
             let (mut mlo, mut mhi) = (1i128, 1i128);
             for &a in &m {
@@ -506,7 +655,7 @@ impl Poly {
     pub fn render(&self, atoms: &Atoms) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for (m, c) in &self.terms {
+        for (m, c) in self.terms.iter() {
             if !s.is_empty() {
                 s.push_str(" + ");
             }
@@ -635,7 +784,7 @@ pub fn shr_poly(atoms: &mut Atoms, p: &Poly, shift: u8) -> Poly {
     if p.k >= 0 && p.k % d == 0 && p.terms.iter().all(|&(_, c)| c >= 0 && c % d == 0) {
         let mut r = p.clone();
         r.k /= d;
-        for (_, c) in &mut r.terms {
+        for (_, c) in r.terms.make_mut() {
             *c /= d;
         }
         return r;
@@ -649,7 +798,7 @@ pub fn shr_poly(atoms: &mut Atoms, p: &Poly, shift: u8) -> Poly {
     }
     Poly::atom(atoms.intern(
         AtomKind::Quot {
-            arg: Box::new(p.clone()),
+            arg: p.clone(),
             shift,
         },
         lane,
@@ -675,7 +824,7 @@ pub fn rem_poly(atoms: &mut Atoms, p: &Poly, shift: u8) -> Poly {
     let hi = (d - 1) as i128;
     Poly::atom(atoms.intern(
         AtomKind::Rem {
-            arg: Box::new(p.clone()),
+            arg: p.clone(),
             shift,
         },
         lane,

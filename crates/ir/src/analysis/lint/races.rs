@@ -35,20 +35,102 @@
 use super::engine::{Access, AccessKind, Constraint, Rel, WalkOutput};
 use super::expr::{AtomId, AtomKind, Atoms, LintAssumptions, Monomial, Poly, BIG};
 use super::{Diagnostic, LintKind};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::inst::MemSpace;
+
+/// Entries an [`AtomMap`] holds in place before it spills to the heap.
+const FACT_SLOTS: usize = 4;
+
+/// A small map keyed by atom, searched linearly. A guard set pins or
+/// bounds a handful of atoms, so the first [`FACT_SLOTS`] entries live in
+/// place and deriving facts allocates nothing. Entries iterate in
+/// insertion order; every reader is order-independent.
+#[derive(Debug, Clone)]
+struct AtomMap<V> {
+    len: usize,
+    slots: [(AtomId, V); FACT_SLOTS],
+    spill: Vec<(AtomId, V)>,
+}
+
+impl<V: Default> Default for AtomMap<V> {
+    fn default() -> Self {
+        AtomMap {
+            len: 0,
+            slots: std::array::from_fn(|_| (AtomId(0), V::default())),
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<V> AtomMap<V> {
+    fn iter(&self) -> impl Iterator<Item = &(AtomId, V)> {
+        self.slots[..self.len].iter().chain(&self.spill)
+    }
+
+    fn position(&self, a: AtomId) -> Option<usize> {
+        self.iter().position(|e| e.0 == a)
+    }
+
+    fn get(&self, a: &AtomId) -> Option<&V> {
+        self.iter().find(|e| e.0 == *a).map(|e| &e.1)
+    }
+
+    fn contains_key(&self, a: &AtomId) -> bool {
+        self.get(a).is_some()
+    }
+
+    /// The value of `a`, inserting `v` first if `a` has none.
+    fn get_or_insert(&mut self, a: AtomId, v: V) -> &mut V {
+        let found = self.position(a);
+        let i = match found {
+            Some(i) => i,
+            None => self.push(a, v),
+        };
+        self.value_mut(i)
+    }
+
+    /// Sets the value of `a`.
+    fn insert(&mut self, a: AtomId, v: V) {
+        let found = self.position(a);
+        match found {
+            Some(i) => *self.value_mut(i) = v,
+            None => {
+                self.push(a, v);
+            }
+        }
+    }
+
+    /// Appends an entry; returns its position.
+    fn push(&mut self, a: AtomId, v: V) -> usize {
+        if self.len < FACT_SLOTS {
+            self.slots[self.len] = (a, v);
+            self.len += 1;
+            self.len - 1
+        } else {
+            self.spill.push((a, v));
+            FACT_SLOTS + self.spill.len() - 1
+        }
+    }
+
+    fn value_mut(&mut self, i: usize) -> &mut V {
+        match i.checked_sub(FACT_SLOTS) {
+            None => &mut self.slots[i].1,
+            Some(j) => &mut self.spill[j].1,
+        }
+    }
+}
 
 /// Facts derived from one access's guard constraints.
 #[derive(Debug, Default)]
 struct Facts {
     /// Atom pinned to an exact value.
-    pins: FxHashMap<AtomId, i128>,
+    pins: AtomMap<i128>,
     /// Symbolic upper bound: atom ≤ poly (uniform).
-    sym_hi: FxHashMap<AtomId, Poly>,
+    sym_hi: AtomMap<Poly>,
     /// Symbolic lower bound: atom ≥ poly (uniform).
-    sym_lo: FxHashMap<AtomId, Poly>,
+    sym_lo: AtomMap<Poly>,
     /// Numeric refinements (intersected with the atom's own range).
-    num: FxHashMap<AtomId, (i128, i128)>,
+    num: AtomMap<(i128, i128)>,
     /// The constraint set is unsatisfiable: the access cannot execute
     /// (e.g. it sits on a pruned zero-iteration loop alternative).
     infeasible: bool,
@@ -158,10 +240,10 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
             if c.rel != Rel::LeZero {
                 continue;
             }
-            let mut atoms_in: Vec<AtomId> = c.poly.atom_ids().collect();
-            atoms_in.sort();
-            atoms_in.dedup();
-            for a in atoms_in {
+            // The constraint's distinct atoms, in increasing order.
+            let mut last = None;
+            while let Some(a) = c.poly.atom_ids().filter(|&x| last < Some(x)).min() {
+                last = Some(a);
                 let (lo, hi) = f.range(a, atoms);
                 if lo >= hi || lo <= -BIG || f.pins.contains_key(&a) {
                     continue;
@@ -184,13 +266,13 @@ fn derive_facts(constraints: &[Constraint], atoms: &Atoms) -> Facts {
     // (e.g. `if (lid == huge_const)` under a known local size) makes the
     // guarded region unreachable: pins short-circuit `Facts::range`, so
     // they must be checked against the intrinsic bounds explicitly.
-    for (&a, &v) in &f.pins {
+    for &(a, v) in f.pins.iter() {
         let i = atoms.info(a);
         if v < i.lo || v > i.hi {
             f.infeasible = true;
         }
     }
-    for (&a, &(nlo, nhi)) in &f.num {
+    for &(a, (nlo, nhi)) in f.num.iter() {
         let i = atoms.info(a);
         if nlo.max(i.lo) > nhi.min(i.hi) {
             f.infeasible = true;
@@ -236,8 +318,8 @@ fn eval_with_pin(p: &Poly, atoms: &Atoms, f: &Facts, a: AtomId, v: i128) -> (i12
     (lo, hi)
 }
 
-fn refine(num: &mut FxHashMap<AtomId, (i128, i128)>, a: AtomId, lo: i128, hi: i128) {
-    let e = num.entry(a).or_insert((-BIG, BIG));
+fn refine(num: &mut AtomMap<(i128, i128)>, a: AtomId, lo: i128, hi: i128) {
+    let e = num.get_or_insert(a, (-BIG, BIG));
     e.0 = e.0.max(lo);
     e.1 = e.1.min(hi);
 }
@@ -368,7 +450,7 @@ fn sym_diff_range(
     p2: &Prepared,
     atoms: &Atoms,
     fu: &Facts,
-    split: &FxHashMap<AtomId, i128>,
+    split: &[(AtomId, i128)],
 ) -> Option<(i128, i128)> {
     let (lane1, lane2, f1, f2) = (&p1.lane, &p2.lane, &p1.facts, &p2.facts);
     let base = p1.unif.sub(&p2.unif);
@@ -380,7 +462,7 @@ fn sym_diff_range(
         let (lm, um) = split_mono(&m, atoms);
         if c1 == c2 && lm.len() == 1 && um.is_empty() {
             let a = lm[0];
-            if let Some(&d) = split.get(&a) {
+            if let Some(&(_, d)) = split.iter().find(|s| s.0 == a) {
                 let folded = i64::try_from((c1 as i128).saturating_mul(d)).ok()?;
                 lo.k = lo.k.saturating_add(folded);
                 hi.k = hi.k.saturating_add(folded);
@@ -536,6 +618,7 @@ fn check_pair(
     p2: &Prepared,
     same_point: bool,
     ctx: &Ctx,
+    vars: &mut Vec<Var>,
 ) -> Verdict {
     let (atoms, lids, wave) = (ctx.atoms, &ctx.lids, ctx.wave);
     let (f1, f2) = (&p1.facts, &p2.facts);
@@ -562,7 +645,7 @@ fn check_pair(
     // --- 2. Difference analysis. ---
     let (lane1, lane2) = (&p1.lane, &p2.lane);
     let mut d0 = p1.unif.sub(&p2.unif);
-    let mut vars: Vec<Var> = Vec::new();
+    vars.clear();
 
     for (m, c1, c2) in lane1.union_terms(lane2) {
         let (lm, um) = split_mono(&m, atoms);
@@ -616,10 +699,10 @@ fn check_pair(
     // Uniform atoms hold one value for both items: intersect refinements.
     let mut fu = Facts::default();
     for f in [f1, f2] {
-        for (&a, &v) in &f.pins {
+        for &(a, v) in f.pins.iter() {
             fu.pins.insert(a, v);
         }
-        for (&a, &(lo, hi)) in &f.num {
+        for &(a, (lo, hi)) in f.num.iter() {
             refine(&mut fu.num, a, lo, hi);
         }
     }
@@ -632,8 +715,12 @@ fn check_pair(
     // overlaps numerically but each fixed flag-δ leaves a symbolically
     // disjoint remainder. ---
     {
-        let mut split_atoms: Vec<(AtomId, i128, i128)> = Vec::new();
-        for v in &vars {
+        let mut split_atoms = [(AtomId(0), 0i128, 0i128); 2];
+        let mut n_split = 0;
+        for v in vars.iter() {
+            if n_split == split_atoms.len() {
+                break;
+            }
             if !v.matched || !v.umono.is_empty() || v.lo >= v.hi || v.hi - v.lo > 2 {
                 continue;
             }
@@ -646,27 +733,24 @@ fn check_pair(
                         .all(|(m, _)| !m.contains(&a) || m.len() == 1)
                 });
                 if singleton {
-                    split_atoms.push((a, v.lo, v.hi));
+                    split_atoms[n_split] = (a, v.lo, v.hi);
+                    n_split += 1;
                 }
             }
         }
-        split_atoms.truncate(2);
+        let split_atoms = &split_atoms[..n_split];
         if !split_atoms.is_empty() {
-            let mut combos: Vec<FxHashMap<AtomId, i128>> = vec![FxHashMap::default()];
-            for &(a, lo, hi) in &split_atoms {
-                let mut next = Vec::new();
-                for d in lo..=hi {
-                    for c in &combos {
-                        let mut c2 = c.clone();
-                        c2.insert(a, d);
-                        next.push(c2);
-                    }
+            // Case `n` picks one δ per split atom, as the digits of `n`.
+            let width = |&(_, lo, hi): &(AtomId, i128, i128)| (hi - lo + 1) as usize;
+            let cases: usize = split_atoms.iter().map(width).product();
+            let all_disjoint = (0..cases).all(|mut n| {
+                let mut split = [(AtomId(0), 0i128); 2];
+                for (s, t) in split.iter_mut().zip(split_atoms) {
+                    *s = (t.0, t.1 + (n % width(t)) as i128);
+                    n /= width(t);
                 }
-                combos = next;
-            }
-            let all_disjoint = combos.iter().all(|split| {
                 matches!(
-                    sym_diff_range(p1, p2, atoms, &fu, split),
+                    sym_diff_range(p1, p2, atoms, &fu, &split[..split_atoms.len()]),
                     Some((lo, hi)) if lo >= 4 || hi <= -4
                 )
             });
@@ -700,7 +784,7 @@ fn check_pair(
         }
         (lo, hi)
     };
-    let (tlo, thi) = total(&vars);
+    let (tlo, thi) = total(vars);
     if tlo > 3 || thi < -3 {
         return Verdict::Disjoint;
     }
@@ -739,7 +823,7 @@ fn check_pair(
             None => break,
         }
     }
-    let (tlo, thi) = total(&vars);
+    let (tlo, thi) = total(vars);
     if tlo > 3 || thi < -3 {
         return Verdict::Disjoint;
     }
@@ -749,7 +833,7 @@ fn check_pair(
     {
         let mut g: i128 = 0;
         let mut live = false;
-        for v in &vars {
+        for v in vars.iter() {
             if v.lo == 0 && v.hi == 0 {
                 continue;
             }
@@ -767,7 +851,7 @@ fn check_pair(
         if live && g > 1 {
             // Common uniform-monomial factor of all live vars and d0.
             let mut common: Option<Monomial> = None;
-            for v in &vars {
+            for v in vars.iter() {
                 if v.lo == 0 && v.hi == 0 {
                     continue;
                 }
@@ -803,8 +887,8 @@ fn check_pair(
     }
 
     // --- 3. Identity closure: are the colliding items the same item? ---
-    let mut known: FxHashMap<AtomId, Option<i128>> = FxHashMap::default(); // None = unknown δ
-    for v in &vars {
+    let mut known: AtomMap<Option<i128>> = AtomMap::default(); // None = unknown δ
+    for v in vars.iter() {
         // Only matched vars are true δ values; one-sided vars carry the
         // raw value range of a single item.
         if !v.matched {
@@ -820,10 +904,10 @@ fn check_pair(
         }
     }
     // Pins on lane atoms give exact δ even for atoms not in the address.
-    for (&a, &p1) in &f1.pins {
+    for &(a, p1) in f1.pins.iter() {
         if atoms.info(a).lane {
             if let Some(&p2) = f2.pins.get(&a) {
-                known.entry(a).or_insert(Some(p1 - p2));
+                known.get_or_insert(a, Some(p1 - p2));
             }
         }
     }
@@ -917,7 +1001,7 @@ fn check_pair(
 /// `(exact δ if derivable, confined-to-aligned-block ≤ wavefront)`.
 fn resolve_lid_delta(
     lid: &LidAtoms,
-    known: &FxHashMap<AtomId, Option<i128>>,
+    known: &AtomMap<Option<i128>>,
     wave: i128,
 ) -> (Option<i128>, bool) {
     if let Some(Some(d)) = known.get(&lid.lid) {
@@ -1068,6 +1152,7 @@ pub(super) fn check_intervals(out: &WalkOutput, asm: &LintAssumptions) -> Vec<Di
     prepared.resize_with(out.accesses.len(), || None);
     let mut checked: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut diags = Vec::new();
+    let mut vars = Vec::new();
     for interval in &out.intervals {
         for (n, &i) in interval.iter().enumerate() {
             for &j in &interval[n..] {
@@ -1097,7 +1182,7 @@ pub(super) fn check_intervals(out: &WalkOutput, asm: &LintAssumptions) -> Vec<Di
                 }
                 let p1 = prepared[i].as_ref().expect("prepared above");
                 let p2 = prepared[j].as_ref().expect("prepared above");
-                match check_pair(a1, a2, p1, p2, i == j, &ctx) {
+                match check_pair(a1, a2, p1, p2, i == j, &ctx, &mut vars) {
                     Verdict::Disjoint | Verdict::SameItem | Verdict::SameWavefront => {}
                     Verdict::Overlap { definite } => {
                         let (kind, emit) = match a1.space {

@@ -36,6 +36,11 @@ impl RegSet {
         Self::with_capacity(kernel.next_reg)
     }
 
+    /// Removes every register, keeping the room.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// `true` if `r` is in the set.
     #[inline]
     pub fn contains(&self, r: Reg) -> bool {

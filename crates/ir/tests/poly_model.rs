@@ -241,7 +241,7 @@ fn model_shr(atoms: &mut Atoms, p: &Model, shift: u8) -> Model {
     if lo == hi {
         return Model::constant(lo as i64);
     }
-    let arg = Box::new(p.to_poly());
+    let arg = p.to_poly();
     Model::atom(atoms.intern(AtomKind::Quot { arg, shift }, lane, lo, hi))
 }
 
@@ -257,7 +257,7 @@ fn model_rem(atoms: &mut Atoms, p: &Model, shift: u8) -> Model {
         return p.clone();
     }
     let lane = p.has_lane(atoms);
-    let arg = Box::new(p.to_poly());
+    let arg = p.to_poly();
     Model::atom(atoms.intern(AtomKind::Rem { arg, shift }, lane, 0, (d - 1) as i128))
 }
 
