@@ -39,20 +39,22 @@ use crate::fxhash::FxHashSet;
 use crate::inst::MemSpace;
 
 /// Entries an [`AtomMap`] holds in place before it spills to the heap.
-const FACT_SLOTS: usize = 4;
+const FACT_SLOTS: usize = 2;
 
 /// A small map keyed by atom, searched linearly. A guard set pins or
-/// bounds a handful of atoms, so the first [`FACT_SLOTS`] entries live in
-/// place and deriving facts allocates nothing. Entries iterate in
+/// bounds a handful of atoms, so the first `N` entries live in place and
+/// deriving facts allocates nothing. Maps of polynomials keep none in
+/// place (`N = 0`): every prepared access holds its facts, and in-place
+/// polynomials would make each one large. Entries iterate in
 /// insertion order; every reader is order-independent.
 #[derive(Debug, Clone)]
-struct AtomMap<V> {
+struct AtomMap<V, const N: usize = FACT_SLOTS> {
     len: usize,
-    slots: [(AtomId, V); FACT_SLOTS],
+    slots: [(AtomId, V); N],
     spill: Vec<(AtomId, V)>,
 }
 
-impl<V: Default> Default for AtomMap<V> {
+impl<V: Default, const N: usize> Default for AtomMap<V, N> {
     fn default() -> Self {
         AtomMap {
             len: 0,
@@ -62,7 +64,7 @@ impl<V: Default> Default for AtomMap<V> {
     }
 }
 
-impl<V> AtomMap<V> {
+impl<V, const N: usize> AtomMap<V, N> {
     fn iter(&self) -> impl Iterator<Item = &(AtomId, V)> {
         self.slots[..self.len].iter().chain(&self.spill)
     }
@@ -102,18 +104,18 @@ impl<V> AtomMap<V> {
 
     /// Appends an entry; returns its position.
     fn push(&mut self, a: AtomId, v: V) -> usize {
-        if self.len < FACT_SLOTS {
+        if self.len < N {
             self.slots[self.len] = (a, v);
             self.len += 1;
             self.len - 1
         } else {
             self.spill.push((a, v));
-            FACT_SLOTS + self.spill.len() - 1
+            N + self.spill.len() - 1
         }
     }
 
     fn value_mut(&mut self, i: usize) -> &mut V {
-        match i.checked_sub(FACT_SLOTS) {
+        match i.checked_sub(N) {
             None => &mut self.slots[i].1,
             Some(j) => &mut self.spill[j].1,
         }
@@ -126,9 +128,9 @@ struct Facts {
     /// Atom pinned to an exact value.
     pins: AtomMap<i128>,
     /// Symbolic upper bound: atom ≤ poly (uniform).
-    sym_hi: AtomMap<Poly>,
+    sym_hi: AtomMap<Poly, 0>,
     /// Symbolic lower bound: atom ≥ poly (uniform).
-    sym_lo: AtomMap<Poly>,
+    sym_lo: AtomMap<Poly, 0>,
     /// Numeric refinements (intersected with the atom's own range).
     num: AtomMap<(i128, i128)>,
     /// The constraint set is unsatisfiable: the access cannot execute

@@ -134,7 +134,7 @@ fn count_suite() -> Counts {
 }
 
 /// The budgets, about 1.25 times the counts of the current analyses
-/// (release: transform 17,030, verify 5,208, lint 39,692, tv 7,770,
+/// (release: transform 17,030, verify 5,208, lint 45,108, tv 7,770,
 /// coverage 3,026; debug differs only in the transform's 30,232). Before
 /// the copy-cheap polynomials, the merge-based `tv` terms and the dense
 /// harden slices, release counted 38,911, 12,503, 276,812, 99,977 and
@@ -146,7 +146,7 @@ const BUDGET: Counts = Counts {
         21_300
     },
     verify: 6_500,
-    lint: 49_600,
+    lint: 56_400,
     tv: 9_700,
     coverage: 3_800,
 };
