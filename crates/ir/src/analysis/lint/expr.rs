@@ -401,12 +401,6 @@ impl Poly {
         &self.terms
     }
 
-    /// `true` if the terms are held in place rather than shared: exactly
-    /// when there are at most [`INLINE_TERMS`] of them.
-    pub fn is_inline(&self) -> bool {
-        matches!(self.terms, Terms::Inline { .. })
-    }
-
     /// Every atom of every term, in term order (an atom repeats as often
     /// as it occurs).
     pub fn atom_ids(&self) -> impl Iterator<Item = AtomId> + '_ {
