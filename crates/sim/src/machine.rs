@@ -327,12 +327,13 @@ impl MachineState {
     fn reset_caches(&mut self, cfg: &DeviceConfig) {
         let line = cfg.line_bytes;
         self.l1.truncate(cfg.num_cus);
-        self.l1.resize_with(cfg.num_cus, || {
-            Cache::new(cfg.l1_bytes, line, cfg.l1_assoc, true)
-        });
         for c in &mut self.l1 {
             c.reset(cfg.l1_bytes, line, cfg.l1_assoc, true);
         }
+        // A new cache is already in the reset state.
+        self.l1.resize_with(cfg.num_cus, || {
+            Cache::new(cfg.l1_bytes, line, cfg.l1_assoc, true)
+        });
         self.l2.reset(cfg.l2_bytes, line, cfg.l2_assoc, false);
     }
 }
