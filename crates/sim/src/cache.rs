@@ -128,6 +128,21 @@ impl Cache {
         }
     }
 
+    /// A cache with no ways, which [`Cache::reset`] always rebuilds: a
+    /// placeholder that allocates nothing until its geometry is known.
+    pub(crate) fn unbuilt() -> Self {
+        Cache {
+            sets: 0,
+            assoc: 0,
+            line: 0,
+            tags: Vec::new(),
+            stamps: Vec::new(),
+            data: Vec::new(),
+            stamp: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
     /// Restores the state `Cache::new(bytes, line, assoc, with_data)`
     /// creates: every way invalid, stamps and contents zero, statistics
     /// cleared. The arrays are reused when the geometry is unchanged.
@@ -418,6 +433,10 @@ mod tests {
         // A different geometry is rebuilt.
         c.reset(512, 64, 4, false);
         assert_eq!(c, Cache::new(512, 64, 4, false));
+        // So is a placeholder.
+        let mut c = Cache::unbuilt();
+        c.reset(256, 64, 2, true);
+        assert_eq!(c, Cache::new(256, 64, 2, true));
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Device {
     /// Creates a device with the given configuration.
     pub fn new(config: DeviceConfig) -> Self {
         Device {
-            state: Box::new(MachineState::new(&config)),
+            state: Box::new(MachineState::new()),
             config,
             memory: GlobalMemory::new(),
         }

@@ -309,11 +309,12 @@ pub(crate) struct MachineState {
 }
 
 impl MachineState {
-    /// Empty free lists; the caches get `cfg`'s geometry at each launch.
-    pub(crate) fn new(cfg: &DeviceConfig) -> Self {
+    /// Empty free lists and no caches yet: each launch gives the caches
+    /// its configuration's geometry, so the first one builds them once.
+    pub(crate) fn new() -> Self {
         MachineState {
             l1: Vec::new(),
-            l2: Cache::new(cfg.l2_bytes, cfg.line_bytes, cfg.l2_assoc, false),
+            l2: Cache::unbuilt(),
             wake: WakeQueue::default(),
             regs: Vec::new(),
             reg_ready: Vec::new(),
