@@ -37,7 +37,7 @@ use crate::analysis::lint::expr::{
 use crate::analysis::uniformity::uniform_regs;
 use crate::inst::{BinOp, Inst, MemSpace, Reg};
 use crate::kernel::Kernel;
-use crate::regset::{RegMap, RegSet};
+use crate::regset::{BitSet, RegMap, RegSet};
 use crate::types::Ty;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -313,72 +313,11 @@ fn may_overlap(a: &Poly, b: &Poly, atoms: &Atoms) -> bool {
     lo <= SLACK && hi >= -SLACK
 }
 
-/// A dense set of small indices (node positions or exit ordinals): one
-/// bit per index, so a slice or a reachable-exit set is one allocation.
-#[derive(Debug, Clone, Default)]
-struct Bits(Vec<u64>);
-
-impl Bits {
-    /// An empty set with room for indices `0..n`.
-    fn with_capacity(n: usize) -> Self {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-
-    /// Adds `i`; returns `true` if it was not already present.
-    fn insert(&mut self, i: usize) -> bool {
-        if i / 64 >= self.0.len() {
-            self.0.resize(i / 64 + 1, 0);
-        }
-        let (w, bit) = (&mut self.0[i / 64], 1 << (i % 64));
-        let new = *w & bit == 0;
-        *w |= bit;
-        new
-    }
-
-    /// Adds every index of `o`; returns `true` if one was new.
-    fn union_with(&mut self, o: &Bits) -> bool {
-        if o.0.len() > self.0.len() {
-            self.0.resize(o.0.len(), 0);
-        }
-        let mut changed = false;
-        for (w, &x) in self.0.iter_mut().zip(&o.0) {
-            changed |= x & !*w != 0;
-            *w |= x;
-        }
-        changed
-    }
-
-    /// Removes every index of `o`.
-    fn subtract(&mut self, o: &Bits) {
-        for (w, &x) in self.0.iter_mut().zip(&o.0) {
-            *w &= !x;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
-    /// The indices, ascending.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(i, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                (w != 0).then(|| {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    i * 64 + b
-                })
-            })
-        })
-    }
-}
-
 /// Reachable-sink facts for one register (the blessed-spec mirror of the
 /// coverage engine's backward pass, extended with LDS flow links).
 #[derive(Debug, Clone, Default)]
 struct Obs {
-    exits: Bits,
+    exits: BitSet,
     control: bool,
 }
 
@@ -571,9 +510,9 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     let divergent = |r: &Reg| !uniform.contains(*r);
     let mut work: Vec<Reg> = Vec::new();
     let mut seen = RegSet::for_kernel(kernel);
-    let mut slice_for_exit = |site: &ExitSite| -> Bits {
-        let mut insts = Bits::with_capacity(nodes.len());
-        let visit = |n: &Node, insts: &mut Bits, work: &mut Vec<Reg>| {
+    let mut slice_for_exit = |site: &ExitSite| -> BitSet {
+        let mut insts = BitSet::with_capacity(nodes.len());
+        let visit = |n: &Node, insts: &mut BitSet, work: &mut Vec<Reg>| {
             insts.insert(n.idx);
             work.extend_from_slice(lin.srcs(n));
             work.extend(lin.conds(n).filter(divergent));
@@ -603,9 +542,9 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         insts
     };
     let exits = &lin.exits;
-    let exit_slices: Vec<Bits> = exits.iter().map(&mut slice_for_exit).collect();
-    let inst_cost = |insts: &Bits| -> u64 { insts.iter().map(|i| freq(lin.node(i).depth)).sum() };
-    let exit_cost = |ords: &Bits| -> u64 {
+    let exit_slices: Vec<BitSet> = exits.iter().map(&mut slice_for_exit).collect();
+    let inst_cost = |insts: &BitSet| -> u64 { insts.iter().map(|i| freq(lin.node(i).depth)).sum() };
+    let exit_cost = |ords: &BitSet| -> u64 {
         ords.iter()
             .map(|e| COMPARE_COST * freq(exits[e].loop_depth))
             .sum()
@@ -621,10 +560,10 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
         e.0.push(w.reg);
         e.1 += w.weight;
     }
-    let mut covered_exits = Bits::with_capacity(exits.len());
-    let mut cands: Vec<(Slice, Bits, Bits)> = Vec::new();
-    let mut candidate = |regs: Vec<Reg>, weight: u64, exit_set: Bits| {
-        let mut insts = Bits::with_capacity(nodes.len());
+    let mut covered_exits = BitSet::with_capacity(exits.len());
+    let mut cands: Vec<(Slice, BitSet, BitSet)> = Vec::new();
+    let mut candidate = |regs: Vec<Reg>, weight: u64, exit_set: BitSet| {
+        let mut insts = BitSet::with_capacity(nodes.len());
         for e in exit_set.iter() {
             insts.union_with(&exit_slices[e]);
         }
@@ -641,7 +580,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     };
     for (key, (mut regs, weight)) in groups {
         regs.sort_unstable();
-        let mut exit_set = Bits::with_capacity(exits.len());
+        let mut exit_set = BitSet::with_capacity(exits.len());
         for &e in key {
             exit_set.insert(e);
         }
@@ -650,7 +589,7 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
     }
     for site in exits {
         if covered_exits.insert(site.ordinal) {
-            let mut exit_set = Bits::with_capacity(exits.len());
+            let mut exit_set = BitSet::with_capacity(exits.len());
             exit_set.insert(site.ordinal);
             candidate(Vec::new(), 0, exit_set);
         }
@@ -669,8 +608,8 @@ pub fn harden(kernel: &Kernel, cfg: &HardenConfig) -> HardenPlan {
 
     // Marginal-cost accounting along the fixed order, then select the
     // longest prefix fitting the budget.
-    let mut acc_insts = Bits::with_capacity(nodes.len());
-    let mut acc_exits = Bits::with_capacity(exits.len());
+    let mut acc_insts = BitSet::with_capacity(nodes.len());
+    let mut acc_exits = BitSet::with_capacity(exits.len());
     let mut total_cost = 0u64;
     for (c, insts, exit_set) in &mut cands {
         insts.subtract(&acc_insts);

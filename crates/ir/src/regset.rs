@@ -12,48 +12,38 @@
 use crate::inst::Reg;
 use crate::kernel::Kernel;
 
-/// A set of registers, stored as a bitset indexed by register number.
-///
-/// Sized for a kernel's registers up front; inserting a register beyond
-/// that grows the set, so an analysis run on a kernel that does not
-/// validate (one that names a register at or past `next_reg`) still
-/// answers instead of panicking.
+/// A dense set of small indices, one bit per index, that grows on
+/// insert. [`RegSet`] keys it by register number; the hardening planner
+/// keys it by node position and exit ordinal.
 #[derive(Debug, Clone, Default)]
-pub struct RegSet {
+pub(crate) struct BitSet {
     words: Vec<u64>,
 }
 
-impl RegSet {
-    /// An empty set with room for registers `0..n`.
-    pub fn with_capacity(n: u32) -> Self {
-        RegSet {
-            words: vec![0; (n as usize).div_ceil(64)],
+impl BitSet {
+    /// An empty set with room for indices `0..n`.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        BitSet {
+            words: vec![0; n.div_ceil(64)],
         }
     }
 
-    /// An empty set with room for every register `kernel` declares.
-    pub fn for_kernel(kernel: &Kernel) -> Self {
-        Self::with_capacity(kernel.next_reg)
-    }
-
-    /// Removes every register, keeping the room.
-    pub fn clear(&mut self) {
+    /// Removes every index, keeping the room.
+    pub(crate) fn clear(&mut self) {
         self.words.fill(0);
     }
 
-    /// `true` if `r` is in the set.
+    /// `true` if `i` is in the set.
     #[inline]
-    pub fn contains(&self, r: Reg) -> bool {
-        let i = r.0 as usize;
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
-    /// Adds `r`; returns `true` if it was not already present.
+    /// Adds `i`; returns `true` if it was not already present.
     #[inline]
-    pub fn insert(&mut self, r: Reg) -> bool {
-        let i = r.0 as usize;
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
         if i / 64 >= self.words.len() {
             self.words.resize(i / 64 + 1, 0);
         }
@@ -64,10 +54,9 @@ impl RegSet {
         fresh
     }
 
-    /// Removes `r`; returns `true` if it was present.
+    /// Removes `i`; returns `true` if it was present.
     #[inline]
-    pub fn remove(&mut self, r: Reg) -> bool {
-        let i = r.0 as usize;
+    pub(crate) fn remove(&mut self, i: usize) -> bool {
         match self.words.get_mut(i / 64) {
             Some(w) => {
                 let bit = 1 << (i % 64);
@@ -79,29 +68,112 @@ impl RegSet {
         }
     }
 
-    /// Number of registers in the set.
-    pub fn len(&self) -> usize {
+    /// Adds every index of `o`; returns `true` if one was new.
+    pub(crate) fn union_with(&mut self, o: &BitSet) -> bool {
+        if o.words.len() > self.words.len() {
+            self.words.resize(o.words.len(), 0);
+        }
+        let mut changed = false;
+        for (w, &x) in self.words.iter_mut().zip(&o.words) {
+            changed |= x & !*w != 0;
+            *w |= x;
+        }
+        changed
+    }
+
+    /// Removes every index of `o`.
+    pub(crate) fn subtract(&mut self, o: &BitSet) {
+        for (w, &x) in self.words.iter_mut().zip(&o.words) {
+            *w &= !x;
+        }
+    }
+
+    /// Number of indices in the set.
+    pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if the set holds no register.
-    pub fn is_empty(&self) -> bool {
+    /// `true` if the set holds no index.
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// The registers in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
+    /// The indices in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {
                 if rest == 0 {
                     return None;
                 }
-                let b = rest.trailing_zeros();
+                let b = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                Some(Reg(wi as u32 * 64 + b))
+                Some(wi * 64 + b)
             })
         })
+    }
+}
+
+/// A set of registers, stored as a bitset indexed by register number.
+///
+/// Sized for a kernel's registers up front; inserting a register beyond
+/// that grows the set, so an analysis run on a kernel that does not
+/// validate (one that names a register at or past `next_reg`) still
+/// answers instead of panicking.
+#[derive(Debug, Clone, Default)]
+pub struct RegSet {
+    bits: BitSet,
+}
+
+impl RegSet {
+    /// An empty set with room for registers `0..n`.
+    pub fn with_capacity(n: u32) -> Self {
+        RegSet {
+            bits: BitSet::with_capacity(n as usize),
+        }
+    }
+
+    /// An empty set with room for every register `kernel` declares.
+    pub fn for_kernel(kernel: &Kernel) -> Self {
+        Self::with_capacity(kernel.next_reg)
+    }
+
+    /// Removes every register, keeping the room.
+    pub fn clear(&mut self) {
+        self.bits.clear();
+    }
+
+    /// `true` if `r` is in the set.
+    #[inline]
+    pub fn contains(&self, r: Reg) -> bool {
+        self.bits.contains(r.0 as usize)
+    }
+
+    /// Adds `r`; returns `true` if it was not already present.
+    #[inline]
+    pub fn insert(&mut self, r: Reg) -> bool {
+        self.bits.insert(r.0 as usize)
+    }
+
+    /// Removes `r`; returns `true` if it was present.
+    #[inline]
+    pub fn remove(&mut self, r: Reg) -> bool {
+        self.bits.remove(r.0 as usize)
+    }
+
+    /// Number of registers in the set.
+    pub fn len(&self) -> usize {
+        self.bits.len()
+    }
+
+    /// `true` if the set holds no register.
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// The registers in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.bits.iter().map(|i| Reg(i as u32))
     }
 }
 
@@ -319,6 +391,23 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), want);
         assert_eq!(s.len(), 5);
         assert_eq!(s.into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn bitset_union_and_subtract() {
+        let mut a = BitSet::with_capacity(10);
+        a.insert(3);
+        a.insert(9);
+        let mut b = BitSet::default();
+        b.insert(9);
+        b.insert(200);
+        assert!(a.union_with(&b));
+        assert!(!a.union_with(&b), "nothing new");
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 9, 200]);
+        a.subtract(&b);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3]);
+        a.clear();
+        assert!(a.is_empty());
     }
 
     #[test]
