@@ -266,45 +266,22 @@ impl std::fmt::Debug for Monomial {
 /// One non-constant term of a [`Poly`]: a monomial and its coefficient.
 type Term = (Monomial, i64);
 
-/// Terms a [`Poly`] holds in place. A longer term list is shared behind
-/// an [`Arc`], so cloning a polynomial never allocates: the walks clone
-/// one at every register read and at every branch.
-pub const INLINE_TERMS: usize = 2;
-
-/// Filler for unused inline slots.
-const PAD: Term = (Monomial::ONE, 0);
-
 thread_local! {
     /// Scratch the term-list builders merge into, reused across calls.
     static SCRATCH: Cell<Vec<Term>> = const { Cell::new(Vec::new()) };
 }
 
-/// A sorted term list, in place up to [`INLINE_TERMS`] terms and shared
-/// beyond. It compares, hashes and prints as its slice, whatever the
-/// storage.
-#[derive(Clone)]
-enum Terms {
-    Inline { len: u8, buf: [Term; INLINE_TERMS] },
-    Shared(Arc<[Term]>),
-}
+/// A sorted term list, shared behind an [`Arc`] so that cloning a
+/// polynomial never allocates: the walks clone one at every register
+/// read and at every branch. The empty list allocates nothing.
+#[derive(Clone, Default)]
+struct Terms(Option<Arc<[Term]>>);
 
 impl Terms {
-    const EMPTY: Terms = Terms::Inline {
-        len: 0,
-        buf: [PAD; INLINE_TERMS],
-    };
+    const EMPTY: Terms = Terms(None);
 
     fn from_slice(s: &[Term]) -> Terms {
-        if s.len() <= INLINE_TERMS {
-            let mut buf = [PAD; INLINE_TERMS];
-            buf[..s.len()].copy_from_slice(s);
-            Terms::Inline {
-                len: s.len() as u8,
-                buf,
-            }
-        } else {
-            Terms::Shared(Arc::from(s))
-        }
+        Terms((!s.is_empty()).then(|| Arc::from(s)))
     }
 
     /// The terms `fill` leaves in a reused scratch vector.
@@ -321,9 +298,9 @@ impl Terms {
 
     /// The terms, writable in place (a shared list is copied first).
     fn make_mut(&mut self) -> &mut [Term] {
-        match self {
-            Terms::Inline { len, buf } => &mut buf[..*len as usize],
-            Terms::Shared(a) => {
+        match &mut self.0 {
+            None => &mut [],
+            Some(a) => {
                 if Arc::get_mut(a).is_none() {
                     *a = Arc::from(&a[..]);
                 }
@@ -333,19 +310,10 @@ impl Terms {
     }
 }
 
-impl Default for Terms {
-    fn default() -> Self {
-        Terms::EMPTY
-    }
-}
-
 impl std::ops::Deref for Terms {
     type Target = [Term];
     fn deref(&self) -> &[Term] {
-        match self {
-            Terms::Inline { len, buf } => &buf[..*len as usize],
-            Terms::Shared(a) => a,
-        }
+        self.0.as_deref().unwrap_or(&[])
     }
 }
 

@@ -42,19 +42,17 @@ use crate::inst::MemSpace;
 const FACT_SLOTS: usize = 2;
 
 /// A small map keyed by atom, searched linearly. A guard set pins or
-/// bounds a handful of atoms, so the first `N` entries live in place and
-/// deriving facts allocates nothing. Maps of polynomials keep none in
-/// place (`N = 0`): every prepared access holds its facts, and in-place
-/// polynomials would make each one large. Entries iterate in
+/// bounds a handful of atoms, so the first [`FACT_SLOTS`] entries live in
+/// place and deriving facts allocates nothing. Entries iterate in
 /// insertion order; every reader is order-independent.
 #[derive(Debug, Clone)]
-struct AtomMap<V, const N: usize = FACT_SLOTS> {
+struct AtomMap<V> {
     len: usize,
-    slots: [(AtomId, V); N],
+    slots: [(AtomId, V); FACT_SLOTS],
     spill: Vec<(AtomId, V)>,
 }
 
-impl<V: Default, const N: usize> Default for AtomMap<V, N> {
+impl<V: Default> Default for AtomMap<V> {
     fn default() -> Self {
         AtomMap {
             len: 0,
@@ -64,7 +62,7 @@ impl<V: Default, const N: usize> Default for AtomMap<V, N> {
     }
 }
 
-impl<V, const N: usize> AtomMap<V, N> {
+impl<V> AtomMap<V> {
     fn iter(&self) -> impl Iterator<Item = &(AtomId, V)> {
         self.slots[..self.len].iter().chain(&self.spill)
     }
@@ -104,18 +102,18 @@ impl<V, const N: usize> AtomMap<V, N> {
 
     /// Appends an entry; returns its position.
     fn push(&mut self, a: AtomId, v: V) -> usize {
-        if self.len < N {
+        if self.len < FACT_SLOTS {
             self.slots[self.len] = (a, v);
             self.len += 1;
             self.len - 1
         } else {
             self.spill.push((a, v));
-            N + self.spill.len() - 1
+            FACT_SLOTS + self.spill.len() - 1
         }
     }
 
     fn value_mut(&mut self, i: usize) -> &mut V {
-        match i.checked_sub(N) {
+        match i.checked_sub(FACT_SLOTS) {
             None => &mut self.slots[i].1,
             Some(j) => &mut self.spill[j].1,
         }
@@ -128,9 +126,9 @@ struct Facts {
     /// Atom pinned to an exact value.
     pins: AtomMap<i128>,
     /// Symbolic upper bound: atom ≤ poly (uniform).
-    sym_hi: AtomMap<Poly, 0>,
+    sym_hi: AtomMap<Poly>,
     /// Symbolic lower bound: atom ≥ poly (uniform).
-    sym_lo: AtomMap<Poly, 0>,
+    sym_lo: AtomMap<Poly>,
     /// Numeric refinements (intersected with the atom's own range).
     num: AtomMap<(i128, i128)>,
     /// The constraint set is unsatisfiable: the access cannot execute
