@@ -1762,10 +1762,59 @@ pub fn self_check(kernel: &Kernel) -> TvReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::FuzzRng;
     use crate::KernelBuilder;
+    use std::collections::BTreeMap;
 
     fn lid_atom(ar: &mut Arena) -> TermId {
         ar.atom(Atom::Builtin(Builtin::LocalId(Dim(0))))
+    }
+
+    /// The map definition `canonical_parts` replaced: sum each term's
+    /// coefficients with wrapping addition in a `BTreeMap`, then list the
+    /// nonzero sums by term id.
+    fn map_parts(raw: &[(u32, TermId)]) -> Vec<(u32, TermId)> {
+        let mut merged: BTreeMap<TermId, u32> = BTreeMap::new();
+        for &(c, t) in raw {
+            if c != 0 {
+                let e = merged.entry(t).or_insert(0);
+                *e = e.wrapping_add(c);
+            }
+        }
+        merged
+            .into_iter()
+            .filter(|&(_, c)| c != 0)
+            .map(|(t, c)| (c, t))
+            .collect()
+    }
+
+    #[test]
+    fn canonical_parts_match_the_map_definition() {
+        for seed in 1..=2000u64 {
+            let mut rng = FuzzRng::new(seed);
+            // Few distinct terms, so most lists repeat one.
+            let mut raw: Vec<(u32, TermId)> = (0..rng.below(12))
+                .map(|_| {
+                    let any = rng.next_u32();
+                    let c = *rng.pick(&[0, 1, 2, u32::MAX, 1 << 31, any]);
+                    (c, rng.below(6))
+                })
+                .collect();
+            // Parts whose sum wraps to zero: c and -c, and 2^31 twice.
+            if let Some(&(c, t)) = raw.first() {
+                if rng.chance(50) {
+                    raw.push((0u32.wrapping_sub(c), t));
+                }
+            }
+            if rng.chance(30) {
+                let t = rng.below(6);
+                raw.extend([(1 << 31, t), (1 << 31, t)]);
+            }
+            let want = map_parts(&raw);
+            let mut got = raw.clone();
+            canonical_parts(&mut got);
+            assert_eq!(got, want, "seed {seed}: {raw:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Model test for the lint's flat polynomials.
 //!
-//! `Poly` keeps its terms in a sorted vector of inline monomials. This
-//! test runs seeded random operation sequences on it and, side by side,
+//! `Poly` keeps its terms in a sorted, shared list of inline monomials.
+//! This test runs seeded random operation sequences on it and, side by side,
 //! on a reference that keeps the terms in a `BTreeMap<Vec<AtomId>, i64>`,
 //! the representation the flat one replaced. Every result must match the
 //! reference: term order, `render` text, `eval_range`, `as_const`,
 //! `as_single_atom`, `has_lane`, whether `mul` rejects a product as
 //! oversized, and the atoms `shr_poly`/`rem_poly` intern. Equal
-//! polynomials must hash alike.
+//! polynomials must hash alike, whether they were built, grown past or
+//! shrunk back under some size, or copied before an edit.
 //!
 //! Negation wraps in both, as the map representation did in release
 //! builds.
@@ -482,4 +483,73 @@ fn saturating_partial_products_sum_in_term_order() {
         .terms()
         .iter()
         .any(|(t, _)| t.len() == 2 && t[0] == a && t[1] == b));
+}
+
+/// Asserts that two routes to the same polynomial are indistinguishable:
+/// equal, hashed alike, rendered alike.
+fn same(p: &Poly, q: &Poly, t: &Tables, what: &str) {
+    assert_eq!(p, q, "{what}: equality");
+    assert_eq!(hash_of(p), hash_of(q), "{what}: hash");
+    assert_eq!(p.render(&t.flat), q.render(&t.flat), "{what}: render");
+}
+
+#[test]
+fn growing_and_shrinking_across_storage_forms() {
+    // A polynomial grows one term at a time from a constant to eight
+    // terms, past any number of terms kept without sharing, and shrinks
+    // back in another order. At every size the term edits, arithmetic
+    // on fresh operands and a rebuild from the model must agree, and a
+    // clone taken before each edit must keep its terms.
+    let mut t = Tables {
+        flat: Atoms::new(),
+        model: Atoms::new(),
+    };
+    let atoms: Vec<AtomId> = (0..8).map(|i| t.fresh_opaque(i % 2 == 0, -4, 15)).collect();
+    let (mut p, mut m) = (Poly::constant(3), Model::constant(3));
+    let mut sum = Poly::constant(3);
+    for (i, &a) in atoms.iter().enumerate() {
+        let c = i as i64 - 3;
+        let c = if c == 0 { 1 } else { c };
+        let (before, before_m) = (p.clone(), m.clone());
+        p.add_term(Monomial::of(a), c);
+        m.acc(&[a], c);
+        sum = sum.add(&Poly::atom(a).scale(c));
+        let what = format!("grown to {} terms", i + 1);
+        check(&p, &m, &t, &what);
+        check(&before, &before_m, &t, &format!("{what}: earlier clone"));
+        same(&p, &sum, &t, &format!("{what}: by arithmetic"));
+        same(&p, &m.to_poly(), &t, &format!("{what}: rebuilt"));
+        // Whole-polynomial edits of a clone leave the original alone.
+        let q = p.clone();
+        check(&q.neg(), &m.neg(), &t, &format!("{what}: negated"));
+        check(&q.scale(-2), &m.scale(-2), &t, &format!("{what}: scaled"));
+        check(&p, &m, &t, &format!("{what}: after editing a clone"));
+    }
+    // Odd atoms first, then even ones, so the list shrinks from inside.
+    let order = atoms
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .chain(atoms.iter().step_by(2));
+    for (n, &a) in order.enumerate() {
+        let before = p.clone();
+        let c = p.remove_term(&Monomial::of(a)).expect("term present");
+        assert_eq!(m.terms.remove(&[a][..]), Some(c));
+        sum = sum.sub(&Poly::atom(a).scale(c));
+        let what = format!("shrunk to {} terms", atoms.len() - n - 1);
+        check(&p, &m, &t, &what);
+        same(&p, &sum, &t, &format!("{what}: by arithmetic"));
+        same(&p, &m.to_poly(), &t, &format!("{what}: rebuilt"));
+        assert_eq!(before.terms().len(), p.terms().len() + 1, "{what}: clone");
+    }
+    same(&p, &Poly::constant(3), &t, "back to the constant");
+    // Cancellation shrinks too: x + y + z - (x + y + z) is the constant 0.
+    let xyz = (0..3).fold(Poly::constant(0), |acc, i| acc.add(&Poly::atom(atoms[i])));
+    same(&xyz.sub(&xyz), &Poly::constant(0), &t, "cancelled");
+    same(
+        &xyz.add(&xyz.neg()),
+        &Poly::default(),
+        &t,
+        "cancelled by negation",
+    );
 }
